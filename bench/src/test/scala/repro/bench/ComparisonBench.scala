@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.{Queries, StreamGen}
 import repro.harness.{BenchConfig, Runner}
 import repro.stream.WindowSpec
@@ -10,7 +11,7 @@ import repro.stream.WindowSpec
   * arrival (the paper's Virtuoso emulation, §5.6; substitution documented in
   * DESIGN.md §2/§4).
   */
-class ComparisonBench extends SparkSpec {
+class ComparisonBench extends AnyFunSuite {
 
   test("Fig 11 (as table): RAPQ vs full-re-evaluation baseline, Yago-like graph") {
     // the baseline is O(batch) per tuple — keep the stream short for it

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.StreamGen
 import repro.harness.{BenchConfig, Runner}
 import repro.automaton.Dfa
@@ -10,7 +11,7 @@ import repro.stream.WindowSpec
   * `O(n · k²)` — per-tuple work should grow about linearly with the number
   * of distinct window vertices `n` and stay polynomial (quadratic) in `k`.
   */
-class ComplexityScalingBench extends SparkSpec {
+class ComplexityScalingBench extends AnyFunSuite {
 
   test("Table 1 (as table): per-tuple cost scales ~linearly with window vertex count n") {
     val dfa = Dfa.fromPattern("(a2q | c2a | c2q)+")

@@ -1,13 +1,14 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.{Queries, StreamGen}
 import repro.harness.{BenchConfig, Runner}
 
 /** Figure 10 (as table): impact of explicit deletions (negative tuples) on
   * tail latency, Yago-like graph, deletion ratio 0%–10% (paper §5.4).
   */
-class DeletionsBench extends SparkSpec {
+class DeletionsBench extends AnyFunSuite {
 
   test("Fig 10 (as table): tail latency vs explicit-deletion ratio") {
     val (base, window) = BenchConfig.yago()

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.data.GMark
 import repro.harness.{BenchConfig, Runner}
@@ -9,7 +10,7 @@ import repro.harness.{BenchConfig, Runner}
   * query size, throughput vs automaton size k, and throughput vs Δ index
   * size at fixed k.
   */
-class GMarkBench extends SparkSpec {
+class GMarkBench extends AnyFunSuite {
 
   private lazy val workload = GMark.workload()
   private lazy val dfas = workload.map(r => (r, Dfa.fromRegex(r)))

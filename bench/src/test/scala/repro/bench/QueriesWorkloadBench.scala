@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Containment
 import repro.data.Queries
 import repro.harness.Runner
@@ -8,7 +9,7 @@ import repro.harness.Runner
 /** Tables 2 & 3: the real-world RPQ workload instantiated per dataset, with
   * minimal-DFA sizes and the conflict-freedom signal (containment property).
   */
-class QueriesWorkloadBench extends SparkSpec {
+class QueriesWorkloadBench extends AnyFunSuite {
 
   test("Table 2/3: queries per dataset, DFA size k, containment property") {
     val rows = for {

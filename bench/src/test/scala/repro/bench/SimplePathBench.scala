@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.Queries
 import repro.harness.{BenchConfig, Runner}
 
@@ -10,7 +11,7 @@ import repro.harness.{BenchConfig, Runner}
   * A query is "successful" when the stream completes within the per-tuple
   * extension budget — conflict blow-ups (the NP-hard regime) exhaust it.
   */
-class SimplePathBench extends SparkSpec {
+class SimplePathBench extends AnyFunSuite {
 
   test("Table 4: successful queries under simple path semantics & relative slowdown") {
     val budget = 300_000L

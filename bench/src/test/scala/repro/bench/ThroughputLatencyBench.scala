@@ -1,13 +1,14 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.Queries
 import repro.harness.{BenchConfig, Runner}
 
 /** Figure 4 (throughput & tail latency of Algorithm RAPQ, all queries ×
   * {SO, LDBC, Yago}) and Figure 5 (Δ tree-index size on SO), as tables.
   */
-class ThroughputLatencyBench extends SparkSpec {
+class ThroughputLatencyBench extends AnyFunSuite {
 
   private def runDataset(ds: String): Seq[Runner.RunResult] = {
     val (stream, window) = BenchConfig.dataset(ds)

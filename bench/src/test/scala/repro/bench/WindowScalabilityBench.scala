@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.data.{Queries, StreamGen}
 import repro.harness.{BenchConfig, Runner}
 import repro.stream.WindowSpec
@@ -9,7 +10,7 @@ import repro.stream.WindowSpec
   * |W| and the slide interval β on the Yago-like graph (fixed-rate
   * timestamps make |W| an exact edge count, as in the paper).
   */
-class WindowScalabilityBench extends SparkSpec {
+class WindowScalabilityBench extends AnyFunSuite {
 
   private val queries = Queries.yago.filter(q => Set("Q2", "Q7", "Q10").contains(q.name))
   private def stream(edges: Int) =

@@ -1,7 +1,7 @@
 package repro.batch
 
 import repro.automaton.Dfa
-import repro.stream.{Op, Sgt, SnapshotGraph, WindowSpec}
+import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
 
 /** Emulation of persistent RPQ evaluation over a system without incremental
   * operators — the paper's Virtuoso baseline (§5.6): every arriving tuple is
@@ -16,17 +16,13 @@ import repro.stream.{Op, Sgt, SnapshotGraph, WindowSpec}
 final class PersistentBatchBaseline(val dfa: Dfa, val window: WindowSpec) {
 
   val graph = new SnapshotGraph
-  private var lastExpiryAt: Long = Long.MinValue
+  private val clock = new SlideClock(window.slide)
 
   /** Insert the tuple, lazily expire, re-evaluate the full window. Returns
     * the complete (not incremental) result set — the caller diffs if needed.
     */
   def processTuple(t: Sgt): Set[(Long, Long)] = {
-    if (lastExpiryAt == Long.MinValue) lastExpiryAt = t.ts
-    else if (t.ts - lastExpiryAt >= window.slide) {
-      graph.pruneExpired(window.lowerBound(t.ts))
-      lastExpiryAt = t.ts
-    }
+    if (clock.tick(t.ts)) graph.pruneExpired(window.lowerBound(t.ts))
     t.op match {
       case Op.Insert => graph.add(t.src, t.dst, t.label, t.ts)
       case Op.Delete => graph.remove(t.src, t.dst, t.label)

@@ -3,86 +3,35 @@ package repro.core
 import scala.collection.mutable
 
 import repro.automaton.Dfa
-import repro.stream.{Op, Sgt, SnapshotGraph, WindowSpec}
+import repro.stream.WindowSpec
 
 /** Incremental RPQ evaluation under **arbitrary path semantics** on a
   * time-based sliding window (paper §3: Algorithms RAPQ, Insert, ExpiryRAPQ
-  * and §3.2: Delete).
-  *
-  * The Δ tree index (Definition 12) is a forest of spanning trees, one per
-  * root vertex `x` with useful outgoing edges; a tree node `(v, s)` witnesses
-  * a window-valid path `p : x → v` with `δ*(s0, φ(p)) = s`, carrying
-  * `ts = p.ts` (the minimum edge timestamp along the witness path).
+  * and §3.2: Delete). The Δ tree index, the window clock and Delete live in
+  * [[DeltaForest]]; each tree holds at most one node per `(v, s)` pair.
   *
   * Faithfulness notes (see DESIGN.md §3):
-  *   - `insert` updates a pre-existing node's parent/timestamp without
-  *     recursing (one-level freshness propagation); `expiry` repairs the rest,
-  *     exactly as the paper's "potentially expired nodes" reconnection does.
+  *   - `insert` re-parents a pre-existing node onto a fresher path and
+  *     recurses over its outgoing edges, so node timestamps always equal the
+  *     best window-path freshness and append-only expiry is a pure filter;
   *   - eager evaluation (results produced per arriving tuple), lazy
   *     expiration (physical removal every `window.slide` time units).
-  *
-  * Results are an append-only stream of `(x, v)` pairs (implicit window
-  * semantics); the engine counts raw emissions and, when `collectResults`,
-  * also keeps the cumulative distinct result set for correctness tests.
   */
 final class RapqEngine(
-    val dfa: Dfa,
-    val window: WindowSpec,
+    dfa: Dfa,
+    window: WindowSpec,
     collectResults: Boolean = true,
-) {
-  import RapqEngine._
+) extends DeltaForest(dfa, window, collectResults) {
+  import DeltaForest.Node
+  import RapqEngine.Tree
 
-  val graph = new SnapshotGraph
+  protected type T = Tree
 
-  /** Cumulative distinct results (populated when `collectResults`). */
-  val results = mutable.LinkedHashSet.empty[(Long, Long)]
-
-  /** Raw result emissions, including re-discoveries after reconnection. */
-  var emissionCount: Long = 0L
-
-  /** Total time spent in window-maintenance (ExpiryRAPQ), for Fig 6(b). */
-  var expiryNanos: Long = 0L
-  var expiryRuns: Long  = 0L
-
-  private val trees = mutable.LongMap.empty[Tree]
-  // Inverted index: vertex -> trees containing >= 1 node for that vertex.
-  private val vertexTrees = mutable.LongMap.empty[mutable.Set[Tree]]
-
-  private var lastExpiryAt: Long = Long.MinValue
-  private var maxTs: Long        = Long.MinValue
-
-  private def key(v: Long, s: Int): Long = v * dfa.k + s
-
-  def numTrees: Int = trees.size
-  def numNodes: Long = trees.valuesIterator.map(_.nodes.size.toLong).sum
-
-  /** Process one streaming graph tuple (insert or explicit delete). */
-  def processTuple(t: Sgt): Unit = {
-    advanceTime(t.ts)
-    t.op match {
-      case Op.Insert => insertEdge(t.ts, t.src, t.dst, t.label)
-      case Op.Delete => deleteEdge(t.ts, t.src, t.dst, t.label)
-    }
-  }
-
-  /** Lazy expiration: run ExpiryRAPQ whenever time crosses a slide boundary. */
-  private def advanceTime(ts: Long): Unit = {
-    maxTs = math.max(maxTs, ts)
-    if (lastExpiryAt == Long.MinValue) lastExpiryAt = ts
-    else if (ts - lastExpiryAt >= window.slide) {
-      runExpiry(ts)
-      lastExpiryAt = ts
-    }
-  }
-
-  /** Force an ExpiryRAPQ pass as of time `ts` (used by tests and at
-    * end-of-stream so the index reflects exactly the final window).
-    */
-  def forceExpiry(ts: Long): Unit = { maxTs = math.max(maxTs, ts); runExpiry(ts) }
+  protected def selfPairs: Boolean = true
 
   // ------------------------------------------------------------------ insert
 
-  private def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
+  protected def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
     graph.add(u, v, label, ts)
     val pairs = dfa.byLabel.getOrElse(label, Nil)
     if (pairs.isEmpty) return
@@ -90,16 +39,14 @@ final class RapqEngine(
 
     // New spanning tree rooted at (u, s0) if this edge leaves the start state.
     if (pairs.exists(_._1 == dfa.start) && !trees.contains(u)) {
-      val tree = new Tree(u)
-      val root = new Node(u, dfa.start, null, Long.MaxValue)
-      tree.putNode(key(u, dfa.start), root, this)
+      val tree = new Tree(u, dfa.start)
+      addNode(tree, key(u, dfa.start), tree.rootNode)
       trees(u) = tree
     }
 
     // Extend every tree that contains (u, s) for a transition (s, t) on label.
-    val touched = vertexTrees.getOrElse(u, EmptyTrees)
     // snapshot: insertion can add this vertex to more trees mid-iteration
-    val snapshot = touched.toArray
+    val snapshot = treesOf(u).toArray
     var i = 0
     while (i < snapshot.length) {
       val tree = snapshot(i)
@@ -113,8 +60,9 @@ final class RapqEngine(
     }
   }
 
-  /** Algorithm Insert: connect `(v, t)` under `parent`, recursing (iteratively)
-    * over the window's outgoing edges on first insertion only.
+  /** Algorithm Insert: connect `(v, t)` under `parent`, recursing
+    * (iteratively) over the window's outgoing edges on first insertion and
+    * on every freshness improvement.
     */
   private def insert(tree: Tree, parent0: Node, v0: Long, t0: Int, edgeTs0: Long, minTs: Long): Unit = {
     val stack = mutable.Stack.empty[(Node, Long, Int, Long)]
@@ -130,7 +78,7 @@ final class RapqEngine(
             if (existing == null) {
               val n = new Node(v, t, parent, newTs)
               parent.addChild(n)
-              tree.putNode(key(v, t), n, this)
+              addNode(tree, key(v, t), n)
               if (dfa.isFinal(t)) emit(tree.rootVertex, v)
               n
             } else if (existing.ts < newTs) {
@@ -158,206 +106,64 @@ final class RapqEngine(
     }
   }
 
-  private def emit(x: Long, v: Long): Unit = {
-    emissionCount += 1
-    if (collectResults) results += ((x, v))
+  private def addNode(tree: Tree, k: Long, n: Node): Unit = {
+    tree.nodes(k) = n
+    nodeAdded(tree, n.v)
   }
 
   // ------------------------------------------------------------------ expiry
 
-  /** Algorithm ExpiryRAPQ over every tree: prune nodes whose freshest known
-    * path has left the window, then try to reconnect each via still-valid
-    * incoming edges (which re-discovers results through alternative paths).
-    * Returns the set of invalidated `(x, v)` pairs — pairs whose accepting
-    * node could not be reconnected (used by explicit-deletion processing).
+  /** Algorithm ExpiryRAPQ's reconnection: try to re-attach each node whose
+    * freshest known path left the window via still-valid incoming edges
+    * (which re-discovers results through alternative paths).
     */
-  private def runExpiry(ts: Long): Set[(Long, Long)] = {
-    graph.pruneExpired(window.lowerBound(ts))
-    expireTrees(trees.values.toArray, ts)
-  }
-
-  /** ExpiryRAPQ over the given trees only — Algorithm Delete invokes this for
-    * just the trees whose spanning structure lost a tree edge, keeping the
-    * per-deletion cost proportional to the affected trees.
-    */
-  private def expireTrees(allTrees: Array[Tree], ts: Long): Set[(Long, Long)] = {
-    val t0 = System.nanoTime()
-    val minTs = window.lowerBound(ts)
-    val invalidated = mutable.Set.empty[(Long, Long)]
-
-    allTrees.foreach { tree =>
-      val expired = tree.nodes.values.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toArray
-      if (expired.nonEmpty) {
-        // prune
-        expired.foreach { n =>
-          tree.removeNode(key(n.v, n.s), this)
-          if (n.parent != null) n.parent.removeChild(n)
-          n.parent = null
-        }
-        // reconnect via valid in-edges from valid nodes; Insert's recursion
-        // transitively re-adds reachable descendants.
-        expired.foreach { n =>
-          if (tree.nodes.getOrNull(key(n.v, n.s)) == null) {
-            graph.inEdges(n.v, minTs).foreach { e =>
-              dfa.byLabel.getOrElse(e.label, Nil).foreach { case (s, t) =>
-                if (t == n.s) {
-                  val parent = tree.nodes.getOrNull(key(e.src, s))
-                  if (parent != null && parent.ts > minTs)
-                    insert(tree, parent, n.v, t, e.ts, minTs)
-                }
-              }
+  protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long,
+                          invalidated: mutable.Set[(Long, Long)]): Unit = {
+    // Insert's recursion transitively re-adds reachable descendants.
+    expired.foreach { n =>
+      if (tree.nodes.getOrNull(key(n.v, n.s)) == null) {
+        graph.inEdges(n.v, minTs).foreach { e =>
+          dfa.byLabel.getOrElse(e.label, Nil).foreach { case (s, t) =>
+            if (t == n.s) {
+              val parent = tree.nodes.getOrNull(key(e.src, s))
+              if (parent != null && parent.ts > minTs)
+                insert(tree, parent, n.v, t, e.ts, minTs)
             }
           }
         }
-        // nodes that stayed disconnected: report invalidated results
-        expired.foreach { n =>
-          if (tree.nodes.getOrNull(key(n.v, n.s)) == null && dfa.isFinal(n.s))
-            invalidated += ((tree.rootVertex, n.v))
-        }
-      }
-      if (tree.rootNode.childCount == 0 && tree.nodes.size <= 1) {
-        tree.removeNode(key(tree.rootVertex, dfa.start), this)
-        trees.remove(tree.rootVertex)
       }
     }
-    expiryNanos += System.nanoTime() - t0
-    expiryRuns += 1
-    invalidated.toSet
-  }
-
-  // ------------------------------------------------------------------ delete
-
-  /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
-    * matching the deleted edge disconnect their subtree; affected nodes are
-    * marked expired (`ts = −∞`) and the ExpiryRAPQ machinery reconnects or
-    * permanently removes them, uniformly with window management.
-    */
-  def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
-    maxTs = math.max(maxTs, ts)
-    val existed = graph.remove(u, v, label)
-    if (!existed) return Set.empty
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
-    if (pairs.isEmpty) return Set.empty
-
-    val affected = mutable.ArrayBuffer.empty[Tree]
-    vertexTrees.getOrElse(v, EmptyTrees).foreach { tree =>
-      pairs.foreach { case (s, t) =>
-        val node = tree.nodes.getOrNull(key(v, t))
-        if (node != null && node.parent != null &&
-            node.parent.v == u && node.parent.s == s) {
-          markSubtree(node)
-          if (!affected.contains(tree)) affected += tree
-        }
-      }
-    }
-    if (affected.nonEmpty) expireTrees(affected.toArray, ts) else Set.empty
-  }
-
-  private def markSubtree(root: Node): Unit = {
-    val stack = mutable.Stack(root)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      n.ts = Long.MinValue
-      n.foreachChild(c => stack.push(c))
+    // nodes that stayed disconnected: report invalidated results
+    expired.foreach { n =>
+      if (tree.nodes.getOrNull(key(n.v, n.s)) == null && dfa.isFinal(n.s))
+        invalidated += ((tree.rootVertex, n.v))
     }
   }
 
   // ------------------------------------------------------------------ views
 
-  /** Pairs `(x, v)` with a currently window-valid accepting node — the
-    * explicit-window result set `Q_R(G_{W,τ})`. Exact immediately after an
-    * expiry pass (see DESIGN.md §3); tests call `forceExpiry(τ)` first.
-    */
-  def currentResults(ts: Long): Set[(Long, Long)] = {
-    val minTs = window.lowerBound(ts)
-    val out = mutable.Set.empty[(Long, Long)]
-    trees.values.foreach { tree =>
-      tree.nodes.values.foreach { n =>
-        if ((n ne tree.rootNode) && n.ts > minTs && dfa.isFinal(n.s))
-          out += ((tree.rootVertex, n.v))
-      }
-    }
-    out.toSet
-  }
-
   /** Node timestamps of one spanning tree, keyed by `(vertex, state)` —
     * exposed for the paper's worked examples (Figure 2) in tests.
     */
   def treeSnapshot(x: Long): Map[(Long, Int), Long] =
-    trees.get(x) match {
-      case None       => Map.empty
-      case Some(tree) =>
-        tree.nodes.values.map(n => (n.v, n.s) -> n.ts).toMap
-    }
+    nodesOf(x).map(n => (n.v, n.s) -> n.ts).toMap
 
   /** Parent pointers of one spanning tree, for structural assertions. */
   def treeParents(x: Long): Map[(Long, Int), (Long, Int)] =
-    trees.get(x) match {
-      case None       => Map.empty
-      case Some(tree) =>
-        tree.nodes.values.collect {
-          case n if n.parent != null => (n.v, n.s) -> ((n.parent.v, n.parent.s))
-        }.toMap
-    }
-
-  // ------------------------------------------------------- index bookkeeping
-
-  private[core] def indexAdd(tree: Tree, v: Long): Unit =
-    vertexTrees.getOrElseUpdate(v, mutable.Set.empty) += tree
-
-  private[core] def indexRemove(tree: Tree, v: Long): Unit =
-    vertexTrees.get(v).foreach { set =>
-      set -= tree
-      if (set.isEmpty) vertexTrees.remove(v)
-    }
+    nodesOf(x).collect {
+      case n if n.parent != null => (n.v, n.s) -> ((n.parent.v, n.parent.s))
+    }.toMap
 }
 
 object RapqEngine {
-  private val EmptyTrees = mutable.Set.empty[Tree]
+  import DeltaForest.Node
 
-  /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
-    * intrusive child list (needed by Delete's subtree marking).
-    */
-  private[core] final class Node(val v: Long, val s: Int, var parent: Node, var ts: Long) {
-    private var children: mutable.HashSet[Node] = null
-
-    def addChild(c: Node): Unit = {
-      if (children == null) children = mutable.HashSet.empty
-      children += c
-    }
-    def removeChild(c: Node): Unit = if (children != null) children -= c
-    def childCount: Int = if (children == null) 0 else children.size
-    def foreachChild(f: Node => Unit): Unit = if (children != null) children.foreach(f)
-
-    def reparent(newParent: Node): Unit = {
-      if (parent != null) parent.removeChild(this)
-      parent = newParent
-      newParent.addChild(this)
-    }
-  }
-
-  /** One spanning tree `T_x` with a hash node index (paper §5.1.1) and a
-    * per-vertex node count feeding the engine's inverted vertex→trees index.
-    */
-  private[core] final class Tree(val rootVertex: Long) {
+  /** One spanning tree `T_x` with a hash node index (paper §5.1.1). */
+  private[core] final class Tree(x: Long, start: Int) extends DeltaForest.Tree(x, start) {
     val nodes = mutable.LongMap.empty[Node]
-    private val vertexNodeCount = mutable.LongMap.empty[Int]
-    var rootNode: Node = null
 
-    def putNode(k: Long, n: Node, engine: RapqEngine): Unit = {
-      nodes(k) = n
-      if (rootNode == null) rootNode = n
-      val c = vertexNodeCount.getOrElse(n.v, 0)
-      vertexNodeCount(n.v) = c + 1
-      if (c == 0) engine.indexAdd(this, n.v)
-    }
-
-    def removeNode(k: Long, engine: RapqEngine): Unit = {
-      nodes.remove(k).foreach { n =>
-        val c = vertexNodeCount.getOrElse(n.v, 1) - 1
-        if (c == 0) { vertexNodeCount.remove(n.v); engine.indexRemove(this, n.v) }
-        else vertexNodeCount(n.v) = c
-      }
-    }
+    def allNodes: Iterator[Node] = nodes.valuesIterator
+    def nodesFor(k: Long): Option[Node] = nodes.get(k)
+    def remove(k: Long, n: Node): Unit = nodes.remove(k)
   }
 }

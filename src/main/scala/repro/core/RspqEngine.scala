@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 
 import repro.automaton.{Containment, Dfa}
-import repro.stream.{Op, Sgt, SnapshotGraph, WindowSpec}
+import repro.stream.WindowSpec
 
 /** Thrown when a single tuple exceeds the configured extension budget —
   * the practical signal that a query/graph combination is blowing up under
@@ -13,7 +13,8 @@ final class RspqBudgetExceeded(val budget: Long)
     extends RuntimeException(s"RSPQ extension budget exceeded: $budget")
 
 /** Incremental RPQ evaluation under **simple path semantics** (paper §4:
-  * Algorithms RSPQ, Extend, Unmark, ExpiryRSPQ).
+  * Algorithms RSPQ, Extend, Unmark, ExpiryRSPQ). The Δ tree index, the
+  * window clock and Delete live in [[DeltaForest]].
   *
   * Differences from [[RapqEngine]] (paper §4.1):
   *   - a spanning tree may hold *several* nodes for the same `(v, s)` pair
@@ -33,68 +34,43 @@ final class RspqBudgetExceeded(val budget: Long)
   * traversal work, never correctness.
   */
 final class RspqEngine(
-    val dfa: Dfa,
-    val window: WindowSpec,
+    dfa: Dfa,
+    window: WindowSpec,
     collectResults: Boolean = true,
     stepBudgetPerTuple: Long = Long.MaxValue,
-) {
+) extends DeltaForest(dfa, window, collectResults) {
+  import DeltaForest.Node
   import RspqEngine._
 
+  protected type T = Tree
+
+  // A self-pair (x, x) can only witness the empty path under simple path
+  // semantics (any length≥1 path x→…→x revisits x), and we do not report
+  // ε-results — so self-pairs are never results.
+  protected def selfPairs: Boolean = false
+
   val containment: Containment = Containment(dfa)
-  val graph = new SnapshotGraph
-
-  val results = mutable.LinkedHashSet.empty[(Long, Long)]
-  var emissionCount: Long = 0L
   var conflictCount: Long = 0L
-  var expiryNanos: Long = 0L
 
-  private val trees = mutable.LongMap.empty[Tree]
-  private val vertexTrees = mutable.LongMap.empty[mutable.Set[Tree]]
-  private var lastExpiryAt: Long = Long.MinValue
   private var steps: Long = 0L
-
-  private def key(v: Long, s: Int): Long = v * dfa.k + s
-
-  def numTrees: Int = trees.size
-  def numNodes: Long = trees.valuesIterator.map(_.size.toLong).sum
-
-  def processTuple(t: Sgt): Unit = {
-    advanceTime(t.ts)
-    steps = 0
-    t.op match {
-      case Op.Insert => insertEdge(t.ts, t.src, t.dst, t.label)
-      case Op.Delete => deleteEdge(t.ts, t.src, t.dst, t.label)
-    }
-  }
-
-  private def advanceTime(ts: Long): Unit = {
-    if (lastExpiryAt == Long.MinValue) lastExpiryAt = ts
-    else if (ts - lastExpiryAt >= window.slide) {
-      runExpiry(ts)
-      lastExpiryAt = ts
-    }
-  }
-
-  def forceExpiry(ts: Long): Unit = runExpiry(ts)
 
   // ------------------------------------------------------------------ insert
 
-  private def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
+  protected def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
+    steps = 0
     graph.add(u, v, label, ts)
     val pairs = dfa.byLabel.getOrElse(label, Nil)
     if (pairs.isEmpty) return
     val minTs = window.lowerBound(ts)
 
     if (pairs.exists(_._1 == dfa.start) && !trees.contains(u)) {
-      val tree = new Tree(u)
-      val root = new PNode(u, dfa.start, null, Long.MaxValue)
-      tree.addNode(key(u, dfa.start), root, this)
-      tree.rootNode = root
+      val tree = new Tree(u, dfa.start)
+      addNode(tree, key(u, dfa.start), tree.rootNode)
       tree.markings += key(u, dfa.start)
       trees(u) = tree
     }
 
-    val snapshot = vertexTrees.getOrElse(u, EmptyTrees).toArray
+    val snapshot = treesOf(u).toArray
     snapshot.foreach { tree =>
       val frames = mutable.Stack.empty[Frame]
       pairs.foreach { case (s, t) =>
@@ -116,7 +92,9 @@ final class RspqEngine(
       val Frame(parent, v, t, edgeTs) = frames.pop()
       steps += 1
       if (steps > stepBudgetPerTuple) throw new RspqBudgetExceeded(stepBudgetPerTuple)
-      if (parent.ts > minTs && !parent.detached) {
+      // A frame's parent is still in the tree: nodes leave a tree only in
+      // expiry, before that tree's frames are built.
+      if (parent.ts > minTs) {
         // prefix-path states at vertex v; head == FIRST(p[v]) (closest to root)
         var statesAtV = List.empty[Int]
         var cur = parent
@@ -133,12 +111,9 @@ final class RspqEngine(
             val ts = math.min(edgeTs, parent.ts)
             if (ts > minTs) {
               val wasAbsent = tree.nodesFor(key(v, t)).isEmpty
-              val node = new PNode(v, t, parent, ts)
+              val node = new Node(v, t, parent, ts)
               parent.addChild(node)
-              tree.addNode(key(v, t), node, this)
-              // A self-pair (x, x) can only witness the empty path under simple
-              // path semantics (any length≥1 path x→…→x revisits x), and we do
-              // not report ε-results — so self-pairs are never emitted.
+              addNode(tree, key(v, t), node)
               if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
               if (wasAbsent) tree.markings += key(v, t)
               graph.outEdges(v, minTs).foreach { e =>
@@ -157,7 +132,7 @@ final class RspqEngine(
     * predecessor `from`; for each newly unmarked pair, re-open the window's
     * incoming extensions that case 2 previously pruned.
     */
-  private def unmark(tree: Tree, from: PNode, minTs: Long, frames: mutable.Stack[Frame]): Unit = {
+  private def unmark(tree: Tree, from: Node, minTs: Long, frames: mutable.Stack[Frame]): Unit = {
     val reopened = mutable.ListBuffer.empty[(Long, Int)]
     var cur = from
     while (cur != null && tree.markings.contains(key(cur.v, cur.s))) {
@@ -165,205 +140,84 @@ final class RspqEngine(
       reopened += ((cur.v, cur.s))
       cur = cur.parent
     }
-    reopened.foreach { case (v, t) =>
-      graph.inEdges(v, minTs).foreach { e =>
-        dfa.byLabel.getOrElse(e.label, Nil).foreach { case (q, t2) =>
-          if (t2 == t) {
-            tree.nodesFor(key(e.src, q)).foreach { m =>
-              if (m.ts > minTs) frames.push(Frame(m, v, t, e.ts))
-            }
+    reopened.foreach { case (v, t) => reopen(tree, v, t, minTs, frames) }
+  }
+
+  /** Schedule an extension to `(v, t)` from every valid node with a window
+    * edge into `v` that the DFA takes to `t`.
+    */
+  private def reopen(tree: Tree, v: Long, t: Int, minTs: Long, frames: mutable.Stack[Frame]): Unit =
+    graph.inEdges(v, minTs).foreach { e =>
+      dfa.byLabel.getOrElse(e.label, Nil).foreach { case (q, t2) =>
+        if (t2 == t) {
+          tree.nodesFor(key(e.src, q)).foreach { m =>
+            if (m.ts > minTs) frames.push(Frame(m, v, t, e.ts))
           }
         }
       }
     }
-  }
 
-  private def emit(x: Long, v: Long): Unit = {
-    emissionCount += 1
-    if (collectResults) results += ((x, v))
+  private def addNode(tree: Tree, k: Long, n: Node): Unit = {
+    tree.nodes.getOrElseUpdate(k, mutable.Set.empty) += n
+    nodeAdded(tree, n.v)
   }
 
   // ------------------------------------------------------------------ expiry
 
-  /** Algorithm ExpiryRSPQ: prune expired nodes and their markings; attempt to
-    * reconnect only the pairs that were *marked* (unmarked pairs were already
-    * fully re-opened by Unmark when they lost their marking).
+  /** Algorithm ExpiryRSPQ's reconnection: the expired nodes lose their
+    * markings, and only the pairs that were *marked* are reconnected
+    * (unmarked pairs were already fully re-opened by Unmark when they lost
+    * their marking).
     */
-  private def runExpiry(ts: Long): Set[(Long, Long)] = {
-    graph.pruneExpired(window.lowerBound(ts))
-    expireTrees(trees.values.toArray, ts)
-  }
-
-  /** ExpiryRSPQ over the given trees only (deletions pass just the affected
-    * trees; window slides pass all of Δ).
-    */
-  private def expireTrees(allTrees: Array[Tree], ts: Long): Set[(Long, Long)] = {
-    val t0 = System.nanoTime()
-    val minTs = window.lowerBound(ts)
-    val invalidated = mutable.Set.empty[(Long, Long)]
-
-    allTrees.foreach { tree =>
-      val expired = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toArray
-      if (expired.nonEmpty) {
-        val markedExpired = mutable.LinkedHashSet.empty[(Long, Int)]
-        expired.foreach { n =>
-          val k = key(n.v, n.s)
-          if (tree.markings.contains(k)) { markedExpired += ((n.v, n.s)); tree.markings -= k }
-          tree.removeNode(k, n, this)
-          if (n.parent != null) n.parent.removeChild(n)
-          n.parent = null
-          n.detached = true
-        }
-        // reconnect marked pairs via valid in-edges
-        val frames = mutable.Stack.empty[Frame]
-        markedExpired.foreach { case (v, t) =>
-          graph.inEdges(v, minTs).foreach { e =>
-            dfa.byLabel.getOrElse(e.label, Nil).foreach { case (q, t2) =>
-              if (t2 == t) {
-                tree.nodesFor(key(e.src, q)).foreach { m =>
-                  if (m.ts > minTs) frames.push(Frame(m, v, t, e.ts))
-                }
-              }
-            }
-          }
-        }
-        steps = 0 // expiry gets its own budget window
-        drain(tree, frames, minTs)
-        markedExpired.foreach { case (v, t) =>
-          if (tree.nodesFor(key(v, t)).isEmpty && dfa.isFinal(t) && v != tree.rootVertex)
-            invalidated += ((tree.rootVertex, v))
-        }
-      }
-      if (tree.rootNode != null && tree.rootNode.childCount == 0 && tree.size <= 1) {
-        tree.removeNode(key(tree.rootVertex, dfa.start), tree.rootNode, this)
-        trees.remove(tree.rootVertex)
-      }
+  protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long,
+                          invalidated: mutable.Set[(Long, Long)]): Unit = {
+    val markedExpired = mutable.LinkedHashSet.empty[(Long, Int)]
+    expired.foreach { n =>
+      if (tree.markings.remove(key(n.v, n.s))) markedExpired += ((n.v, n.s))
     }
-    expiryNanos += System.nanoTime() - t0
-    invalidated.toSet
-  }
-
-  // ------------------------------------------------------------------ delete
-
-  /** Explicit deletion, uniformly through the expiry machinery (§3.2 / §4). */
-  def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
-    val existed = graph.remove(u, v, label)
-    if (!existed) return Set.empty
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
-    if (pairs.isEmpty) return Set.empty
-
-    val affected = mutable.ArrayBuffer.empty[Tree]
-    vertexTrees.getOrElse(v, EmptyTrees).toArray.foreach { tree =>
-      pairs.foreach { case (s, t) =>
-        tree.nodesFor(key(v, t)).toArray.foreach { node =>
-          if (node.parent != null && node.parent.v == u && node.parent.s == s) {
-            var stack = List(node)
-            while (stack.nonEmpty) {
-              val n = stack.head; stack = stack.tail
-              n.ts = Long.MinValue
-              n.foreachChild(c => stack ::= c)
-            }
-            if (!affected.contains(tree)) affected += tree
-          }
-        }
-      }
+    val frames = mutable.Stack.empty[Frame]
+    markedExpired.foreach { case (v, t) => reopen(tree, v, t, minTs, frames) }
+    steps = 0 // expiry gets its own budget window
+    drain(tree, frames, minTs)
+    markedExpired.foreach { case (v, t) =>
+      if (tree.nodesFor(key(v, t)).isEmpty && dfa.isFinal(t) && v != tree.rootVertex)
+        invalidated += ((tree.rootVertex, v))
     }
-    if (affected.nonEmpty) expireTrees(affected.toArray, ts) else Set.empty
   }
 
   // ------------------------------------------------------------------ views
 
-  /** Explicit-window view: pairs with a currently valid accepting node. */
-  def currentResults(ts: Long): Set[(Long, Long)] = {
-    val minTs = window.lowerBound(ts)
-    val out = mutable.Set.empty[(Long, Long)]
-    trees.values.foreach { tree =>
-      tree.allNodes.foreach { n =>
-        if ((n ne tree.rootNode) && n.v != tree.rootVertex && n.ts > minTs && dfa.isFinal(n.s))
-          out += ((tree.rootVertex, n.v))
-      }
-    }
-    out.toSet
-  }
-
   /** Multiset of `(v, s)` occurrences in tree `T_x` — Figure 3 assertions. */
   def treeNodeCounts(x: Long): Map[(Long, Int), Int] =
-    trees.get(x) match {
-      case None       => Map.empty
-      case Some(tree) => tree.allNodes.toSeq.groupBy(n => (n.v, n.s)).map { case (k, v) => k -> v.size }
-    }
+    nodesOf(x).groupBy(n => (n.v, n.s)).map { case (k, v) => k -> v.size }
 
   /** Marked pairs of tree `T_x`. */
   def markedPairs(x: Long): Set[(Long, Int)] =
-    trees.get(x) match {
-      case None       => Set.empty
-      case Some(tree) =>
-        tree.markings.iterator.map(k => (k / dfa.k, (k % dfa.k).toInt)).toSet
-    }
-
-  private[core] def indexAdd(tree: Tree, v: Long): Unit =
-    vertexTrees.getOrElseUpdate(v, mutable.Set.empty) += tree
-
-  private[core] def indexRemove(tree: Tree, v: Long): Unit =
-    vertexTrees.get(v).foreach { set =>
-      set -= tree
-      if (set.isEmpty) vertexTrees.remove(v)
-    }
+    trees.get(x).iterator.flatMap(_.markings)
+      .map(k => (Math.floorDiv(k, dfa.k.toLong), Math.floorMod(k, dfa.k.toLong).toInt)).toSet
 }
 
 object RspqEngine {
-  private val EmptyTrees = mutable.Set.empty[Tree]
+  import DeltaForest.Node
 
   /** An extension attempt: try to add `(v, t)` as a child of `parent` using an
     * edge with timestamp `edgeTs`. All pruning cases re-checked at pop time.
     */
-  private[core] final case class Frame(parent: PNode, v: Long, t: Int, edgeTs: Long)
+  private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
 
-  /** Traversal-tree node; unlike RAPQ, several nodes may share `(v, s)`. */
-  private[core] final class PNode(val v: Long, val s: Int, var parent: PNode, var ts: Long) {
-    private var children: mutable.HashSet[PNode] = null
-    var detached: Boolean = false
-
-    def addChild(c: PNode): Unit = {
-      if (children == null) children = mutable.HashSet.empty
-      children += c
-    }
-    def removeChild(c: PNode): Unit = if (children != null) children -= c
-    def childCount: Int = if (children == null) 0 else children.size
-    def foreachChild(f: PNode => Unit): Unit = if (children != null) children.foreach(f)
-  }
-
-  private[core] final class Tree(val rootVertex: Long) {
-    private val nodes = mutable.LongMap.empty[mutable.Set[PNode]]
+  /** Traversal tree `T_x` with its markings `M_x`; unlike RAPQ, several
+    * nodes may share one `(v, s)` pair.
+    */
+  private[core] final class Tree(x: Long, start: Int) extends DeltaForest.Tree(x, start) {
+    val nodes = mutable.LongMap.empty[mutable.Set[Node]]
     val markings = mutable.Set.empty[Long]
-    private val vertexNodeCount = mutable.LongMap.empty[Int]
-    var rootNode: PNode = null
-    private var count = 0
 
-    def size: Int = count
-    def nodesFor(k: Long): collection.Set[PNode] = nodes.getOrElse(k, EmptyNodes)
-    def allNodes: Iterator[PNode] = nodes.valuesIterator.flatten
-
-    def addNode(k: Long, n: PNode, engine: RspqEngine): Unit = {
-      nodes.getOrElseUpdate(k, mutable.Set.empty) += n
-      count += 1
-      val c = vertexNodeCount.getOrElse(n.v, 0)
-      vertexNodeCount(n.v) = c + 1
-      if (c == 0) engine.indexAdd(this, n.v)
-    }
-
-    def removeNode(k: Long, n: PNode, engine: RspqEngine): Unit = {
-      nodes.get(k).foreach { set =>
-        if (set.remove(n)) {
-          count -= 1
-          if (set.isEmpty) nodes.remove(k)
-          val c = vertexNodeCount.getOrElse(n.v, 1) - 1
-          if (c == 0) { vertexNodeCount.remove(n.v); engine.indexRemove(this, n.v) }
-          else vertexNodeCount(n.v) = c
-        }
-      }
+    def allNodes: Iterator[Node] = nodes.valuesIterator.flatten
+    def nodesFor(k: Long): collection.Set[Node] = nodes.getOrElse(k, Set.empty[Node])
+    def remove(k: Long, n: Node): Unit = {
+      val set = nodes(k)
+      set -= n
+      if (set.isEmpty) nodes.remove(k)
     }
   }
-
-  private val EmptyNodes = mutable.Set.empty[PNode]
 }

@@ -2,7 +2,7 @@ package repro.harness
 
 import repro.automaton.Dfa
 import repro.batch.PersistentBatchBaseline
-import repro.core.{Metrics, RapqEngine, RspqBudgetExceeded, RspqEngine}
+import repro.core.{DeltaForest, Metrics, RapqEngine, RspqBudgetExceeded, RspqEngine}
 import repro.stream.{Sgt, WindowSpec}
 
 /** Shared experiment driver: runs an engine over a stream, recording the
@@ -36,18 +36,8 @@ object Runner {
               stream: Seq[Sgt]): RunResult = {
     val engine = new RapqEngine(dfa, window, collectResults = false)
     val metrics = new Metrics
-    val alphabet = dfa.alphabet
-    stream.foreach { t =>
-      if (alphabet.contains(t.label)) {
-        val t0 = System.nanoTime()
-        engine.processTuple(t)
-        metrics.record(System.nanoTime() - t0)
-      } else engine.processTuple(t)
-    }
-    RunResult(query, dataset, stream.size, metrics.count,
-      metrics.throughputPerSec, metrics.meanMicros, metrics.p99Micros,
-      engine.numTrees, engine.numNodes, engine.emissionCount,
-      engine.expiryNanos / 1e6)
+    replay(stream, dfa.alphabet, metrics)(engine.processTuple)
+    row(query, dataset, stream, metrics, engine)
   }
 
   /** Run Algorithm RSPQ; a blown per-tuple budget marks the run as not
@@ -58,46 +48,46 @@ object Runner {
     val engine = new RspqEngine(dfa, window, collectResults = false,
                                 stepBudgetPerTuple = stepBudget)
     val metrics = new Metrics
-    val alphabet = dfa.alphabet
-    try {
-      stream.foreach { t =>
-        if (alphabet.contains(t.label)) {
-          val t0 = System.nanoTime()
-          engine.processTuple(t)
-          metrics.record(System.nanoTime() - t0)
-        } else engine.processTuple(t)
-      }
-      RunResult(query, dataset, stream.size, metrics.count,
-        metrics.throughputPerSec, metrics.meanMicros, metrics.p99Micros,
-        engine.numTrees, engine.numNodes, engine.emissionCount,
-        engine.expiryNanos / 1e6, engine.conflictCount)
-    } catch {
-      case _: RspqBudgetExceeded =>
-        RunResult(query, dataset, stream.size, metrics.count,
-          metrics.throughputPerSec, metrics.meanMicros, metrics.p99Micros,
-          engine.numTrees, engine.numNodes, engine.emissionCount,
-          engine.expiryNanos / 1e6, engine.conflictCount, completed = false)
-    }
+    val completed =
+      try { replay(stream, dfa.alphabet, metrics)(engine.processTuple); true }
+      catch { case _: RspqBudgetExceeded => false }
+    row(query, dataset, stream, metrics, engine)
+      .copy(conflicts = engine.conflictCount, completed = completed)
   }
 
-  /** Run the Virtuoso-emulation baseline (full re-evaluation per arrival). */
+  /** Run the Virtuoso-emulation baseline (full re-evaluation per arrival);
+    * `resultPairs` is the size of the last window's result set.
+    */
   def runBaseline(query: String, dataset: String, dfa: Dfa, window: WindowSpec,
                   stream: Seq[Sgt]): RunResult = {
     val baseline = new PersistentBatchBaseline(dfa, window)
     val metrics = new Metrics
-    val alphabet = dfa.alphabet
     var pairs = 0L
-    stream.foreach { t =>
-      if (alphabet.contains(t.label)) {
-        val t0 = System.nanoTime()
-        pairs = baseline.processTuple(t).size.toLong
-        metrics.record(System.nanoTime() - t0)
-      } else baseline.processTuple(t)
-    }
+    replay(stream, dfa.alphabet, metrics) { t => pairs = baseline.processTuple(t).size.toLong }
     RunResult(query, dataset, stream.size, metrics.count,
       metrics.throughputPerSec, metrics.meanMicros, metrics.p99Micros,
       0, 0, pairs, 0.0)
   }
+
+  /** The timed loop: feeds every tuple to `step`, recording the latency of
+    * those whose label is in `alphabet`.
+    */
+  private def replay(stream: Seq[Sgt], alphabet: Set[String], metrics: Metrics)
+                    (step: Sgt => Unit): Unit =
+    stream.foreach { t =>
+      if (alphabet.contains(t.label)) {
+        val t0 = System.nanoTime()
+        step(t)
+        metrics.record(System.nanoTime() - t0)
+      } else step(t)
+    }
+
+  private def row(query: String, dataset: String, stream: Seq[Sgt], metrics: Metrics,
+                  engine: DeltaForest): RunResult =
+    RunResult(query, dataset, stream.size, metrics.count,
+      metrics.throughputPerSec, metrics.meanMicros, metrics.p99Micros,
+      engine.numTrees, engine.numNodes, engine.emissionCount,
+      engine.expiryNanos / 1e6)
 
   /** Render rows as a GitHub-flavoured markdown table. */
   def markdownTable(headers: Seq[String], rows: Seq[Seq[String]]): String = {

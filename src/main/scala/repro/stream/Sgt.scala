@@ -29,3 +29,17 @@ final case class WindowSpec(size: Long, slide: Long) {
     */
   def lowerBound(endTs: Long): Long = endTs - size
 }
+
+/** Lazy-expiration clock (paper §2): the first tuple starts it, and a tuple
+  * whose timestamp is at least `slide` after the last expiry triggers the
+  * next expiry and restarts the clock at its own timestamp.
+  */
+final class SlideClock(slide: Long) {
+  private var lastExpiryAt: Long = Long.MinValue
+
+  /** Whether processing a tuple with timestamp `ts` runs expiry. */
+  def tick(ts: Long): Boolean =
+    if (lastExpiryAt == Long.MinValue) { lastExpiryAt = ts; false }
+    else if (ts - lastExpiryAt >= slide) { lastExpiryAt = ts; true }
+    else false
+}

@@ -13,14 +13,21 @@ class RapqDeleteSpec extends SparkSpec {
   private def engine(p: String, size: Long = 1000): RapqEngine =
     new RapqEngine(Dfa.fromPattern(p), WindowSpec(size, 100000))
 
+  /** Both engines, for conflict-free inputs where their answers coincide:
+    * Delete runs through the forest they share.
+    */
+  private def engines(p: String): Seq[DeltaForest] =
+    Seq(engine(p), new RspqEngine(Dfa.fromPattern(p), WindowSpec(1000, 100000)))
+
   test("deleting a tree edge invalidates results that depended on it") {
-    val e = engine("a b")
-    e.processTuple(Sgt(1, 0, 1, "a"))
-    e.processTuple(Sgt(2, 1, 2, "b"))
-    assert(e.currentResults(2) == Set((0L, 2L)))
-    val invalidated = e.deleteEdge(3, 0, 1, "a")
-    assert(invalidated == Set((0L, 2L)))
-    assert(e.currentResults(3) == Set.empty)
+    for (e <- engines("a b")) {
+      e.processTuple(Sgt(1, 0, 1, "a"))
+      e.processTuple(Sgt(2, 1, 2, "b"))
+      assert(e.currentResults(2) == Set((0L, 2L)))
+      val invalidated = e.deleteEdge(3, 0, 1, "a")
+      assert(invalidated == Set((0L, 2L)))
+      assert(e.currentResults(3) == Set.empty)
+    }
   }
 
   test("deleting a tree edge keeps results that survive via alternative paths") {
@@ -49,10 +56,11 @@ class RapqDeleteSpec extends SparkSpec {
   }
 
   test("deleting a non-existent edge is a no-op") {
-    val e = engine("a b")
-    e.processTuple(Sgt(1, 0, 1, "a"))
-    assert(e.deleteEdge(2, 7, 8, "a").isEmpty)
-    assert(e.numNodes == 2) // root + (1, s1)
+    for (e <- engines("a b")) {
+      e.processTuple(Sgt(1, 0, 1, "a"))
+      assert(e.deleteEdge(2, 7, 8, "a").isEmpty)
+      assert(e.numNodes == 2) // root + (1, s1)
+    }
   }
 
   test("delete then re-insert restores the result") {

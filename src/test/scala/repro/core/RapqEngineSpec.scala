@@ -88,6 +88,25 @@ class RapqEngineSpec extends SparkSpec {
     assert(e.graph.numEdges == 50) // still tracked in the window content
   }
 
+  test("vertex ids whose node key would overflow are rejected by both engines") {
+    // query `a` has k = 2 states, so keys v·2 + s fit a Long for v in [-2^62, 2^62 - 1];
+    // unchecked, 2^62 and -2^62 share a key and (7, -2^62) silently goes missing
+    val dfa = Dfa.fromPattern("a")
+    val (lo, hi) = (-(1L << 62), (1L << 62) - 1)
+    for (e <- Seq[DeltaForest](new RapqEngine(dfa, WindowSpec(100, 10000)),
+                               new RspqEngine(dfa, WindowSpec(100, 10000)))) {
+      e.processTuple(Sgt(1, 7, hi, "a"))
+      e.processTuple(Sgt(2, 7, lo, "a"))
+      assert(e.results.toSet == Set((7L, hi), (7L, lo)))
+      intercept[IllegalArgumentException](e.processTuple(Sgt(3, 7, hi + 1, "a")))
+      intercept[IllegalArgumentException](e.processTuple(Sgt(3, lo - 1, 7, "a")))
+      intercept[IllegalArgumentException](e.deleteEdge(3, 7, hi + 1, "a"))
+      assert(e.graph.numEdges == 2, "a rejected tuple leaves no trace")
+      e.forceExpiry(3)
+      assert(e.currentResults(3) == Set((7L, hi), (7L, lo)))
+    }
+  }
+
   test("self-loops under arbitrary semantics can produce self-results") {
     val dfa = Dfa.fromPattern("a b")
     val e = new RapqEngine(dfa, WindowSpec(100, 10000))

@@ -76,16 +76,19 @@ class RapqExpirySpec extends SparkSpec {
   }
 
   test("lazy expiration: slide interval controls when expiry runs") {
-    val e = engine(size = 10, slide = 5)
-    e.processTuple(Sgt(1, a, b, f))
-    e.processTuple(Sgt(2, b, c, m))
-    assert(e.expiryRuns == 0)
-    e.processTuple(Sgt(8, a, d, f)) // 8 - 1 >= 5 → expiry fires
-    assert(e.expiryRuns == 1)
-    e.processTuple(Sgt(9, d, c, m))
-    assert(e.expiryRuns == 1) // within the same slide: no expiry
-    e.processTuple(Sgt(14, d, e5, m))
-    assert(e.expiryRuns == 2)
+    // the slide clock is shared, so RSPQ must count the same expiry runs
+    val rspq = new RspqEngine(Dfa.fromPattern("(follows mentions)+"), WindowSpec(10, 5))
+    for (e <- Seq[DeltaForest](engine(size = 10, slide = 5), rspq)) {
+      e.processTuple(Sgt(1, a, b, f))
+      e.processTuple(Sgt(2, b, c, m))
+      assert(e.expiryRuns == 0)
+      e.processTuple(Sgt(8, a, d, f)) // 8 - 1 >= 5 → expiry fires
+      assert(e.expiryRuns == 1)
+      e.processTuple(Sgt(9, d, c, m))
+      assert(e.expiryRuns == 1) // within the same slide: no expiry
+      e.processTuple(Sgt(14, d, e5, m))
+      assert(e.expiryRuns == 2)
+    }
   }
 
   test("expiry prunes the window graph itself") {
