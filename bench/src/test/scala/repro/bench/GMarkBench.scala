@@ -50,11 +50,10 @@ class GMarkBench extends AnyFunSuite {
             Runner.fmt(ts.min), Runner.fmt(ts.max)) }))
 
     println("\n### Fig 9 (as table) — throughput vs Δ index size (all measured queries)\n")
-    val ordered = results.sortBy(-_._3.nodes).take(15)
     println(Runner.markdownTable(
-      Seq("query", "k", "Δ nodes", "throughput (t/s)"),
-      ordered.map { case (r, dfa, res) =>
-        Seq(r.toString.take(48), dfa.k.toString, res.nodes.toString,
+      Seq("query", "|Q_R|", "k", "Δ nodes", "throughput (t/s)"),
+      results.sortBy(-_._3.nodes).map { case (r, dfa, res) =>
+        Seq(r.toString.take(48), r.size.toString, dfa.k.toString, res.nodes.toString,
             Runner.fmt(res.throughputPerSec)) }))
 
     // Shape (paper §5.3): performance varies widely at fixed k; throughput

@@ -25,10 +25,11 @@ class ThroughputLatencyBench extends AnyFunSuite {
     println("\n### Fig 4 (as table) — Algorithm RAPQ, throughput & tail latency\n")
     println(Runner.markdownTable(
       Seq("dataset", "query", "matched tuples", "throughput (t/s)",
-          "mean (µs)", "p99 (µs)", "result pairs"),
+          "mean (µs)", "p99 (µs)", "trees", "nodes", "result pairs"),
       results.map(r => Seq(r.dataset, r.query, r.matched.toString,
         Runner.fmt(r.throughputPerSec), Runner.fmt(r.meanMicros),
-        Runner.fmt(r.p99Micros), r.resultPairs.toString))))
+        Runner.fmt(r.p99Micros), r.trees.toString, r.nodes.toString,
+        r.resultPairs.toString))))
 
     results.foreach { r =>
       assert(r.matched > 0, s"${r.dataset}/${r.query}: no tuples matched the alphabet")

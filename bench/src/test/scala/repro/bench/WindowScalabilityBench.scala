@@ -26,10 +26,10 @@ class WindowScalabilityBench extends AnyFunSuite {
     }
     println("\n### Fig 6(a) (as table) — tail latency vs window size (Yago-like)\n")
     println(Runner.markdownTable(
-      Seq("query", "|W| (edges)", "p99 (µs)", "mean (µs)", "nodes"),
+      Seq("query", "|W| (edges)", "p99 (µs)", "mean (µs)", "nodes", "expiry total (ms)"),
       rows.map { case (q, w, r) =>
         Seq(q, w.toString, Runner.fmt(r.p99Micros), Runner.fmt(r.meanMicros),
-            r.nodes.toString) }))
+            r.nodes.toString, Runner.fmt(r.expiryMillis)) }))
 
     // Shape: the largest window is never cheaper than the smallest one
     // (index sizes scale with |W|; allow noise on the intermediate points).

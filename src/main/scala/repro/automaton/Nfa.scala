@@ -13,8 +13,6 @@ final case class Nfa(
     accept: Int,
     edges: Vector[List[(Option[String], Int)]],
 ) {
-  def numStates: Int = edges.length
-
   /** ε-closure of a state set (used by subset construction and tests). */
   def closure(states: Set[Int]): Set[Int] = {
     val seen  = mutable.Set.from(states)

@@ -128,7 +128,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
         }
         reconnect(tree, expired, minTs, invalidated)
       }
-      if (tree.rootNode.childCount == 0 && tree.size <= 1) {
+      if (tree.size <= 1) {
         nodeRemoved(tree, tree.rootVertex)
         trees.remove(tree.rootVertex)
       }
@@ -217,7 +217,6 @@ object DeltaForest {
       children += c
     }
     def removeChild(c: Node): Unit = if (children != null) children -= c
-    def childCount: Int = if (children == null) 0 else children.size
     def foreachChild(f: Node => Unit): Unit = if (children != null) children.foreach(f)
 
     def reparent(newParent: Node): Unit = {

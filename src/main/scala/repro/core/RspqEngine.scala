@@ -158,7 +158,7 @@ final class RspqEngine(
     }
 
   private def addNode(tree: Tree, k: Long, n: Node): Unit = {
-    tree.nodes.getOrElseUpdate(k, mutable.Set.empty) += n
+    tree.nodes.getOrElseUpdate(k, mutable.LinkedHashSet.empty) += n
     nodeAdded(tree, n.v)
   }
 
@@ -206,10 +206,12 @@ object RspqEngine {
   private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
 
   /** Traversal tree `T_x` with its markings `M_x`; unlike RAPQ, several
-    * nodes may share one `(v, s)` pair.
+    * nodes may share one `(v, s)` pair. Each pair's nodes keep insertion
+    * order, which fixes the order of Extend's frames and of expiry's
+    * reconnection, so a stream always yields the same markings and conflicts.
     */
   private[core] final class Tree(x: Long, start: Int) extends DeltaForest.Tree(x, start) {
-    val nodes = mutable.LongMap.empty[mutable.Set[Node]]
+    val nodes = mutable.LongMap.empty[mutable.LinkedHashSet[Node]]
     val markings = mutable.Set.empty[Long]
 
     def allNodes: Iterator[Node] = nodes.valuesIterator.flatten

@@ -56,7 +56,7 @@ object Queries {
   /** All 11 queries on the Yago2s-like graph (rich schema). */
   def yago: Seq[Q] = templates(yagoLabels._1, yagoLabels._2, yagoLabels._3)
 
-  /** Queries per dataset name, as used by benches and jobs. */
+  /** Queries per dataset name: `so`, `ldbc` or `yago`. */
   def forDataset(name: String): Seq[Q] = name match {
     case "so"   => so
     case "ldbc" => ldbc

@@ -5,9 +5,11 @@ import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
 import org.apache.spark.sql.types._
+import org.json4s.JsonDSL._
+import org.json4s.jackson.JsonMethods.{compact, render}
 
 import repro.automaton.Dfa
-import repro.stream.{Sgt, WindowSpec}
+import repro.stream.{Op, Sgt, WindowSpec}
 
 /** Persistent RPQ evaluation as a Structured Streaming job (the repro-band
   * deployment shape): a file-source stream of sgts is consumed micro-batch by
@@ -53,10 +55,14 @@ final class StructuredStreamingRpq(
     query
   }
 
-  /** Write one micro-batch of sgts as a JSON part file into the source dir. */
+  /** Write one micro-batch of sgts as a JSON part file into the source dir.
+    * Throws an `IllegalArgumentException`, writing nothing, if the batch holds
+    * an explicit deletion: [[SparkIncrementalRpq]] does not support them.
+    */
   def feed(sgts: Seq[Sgt], batchId: Int): Unit = {
+    require(!sgts.exists(_.op == Op.Delete), "StructuredStreamingRpq does not support explicit deletions")
     val json = sgts.map { t =>
-      s"""{"ts":${t.ts},"src":${t.src},"dst":${t.dst},"label":"${t.label}"}"""
+      compact(render(("ts" -> t.ts) ~ ("src" -> t.src) ~ ("dst" -> t.dst) ~ ("label" -> t.label)))
     }.mkString("\n")
     val tmp = Files.createTempFile(sourceDir, "batch", ".json.tmp")
     Files.writeString(tmp, json)

@@ -10,7 +10,8 @@ object Op {
 /** Streaming graph tuple: `(τ, (u,v), l, op)` (paper Definition 2).
   *
   * `ts` is the event (application) timestamp assigned by the source; streams
-  * are assumed to arrive in non-decreasing `ts` order (paper §2).
+  * arrive in non-decreasing `ts` order (paper §2), and [[SlideClock]] rejects
+  * a tuple that breaks it.
   */
 final case class Sgt(ts: Long, src: Long, dst: Long, label: String, op: Op = Op.Insert)
 
@@ -32,14 +33,22 @@ final case class WindowSpec(size: Long, slide: Long) {
 
 /** Lazy-expiration clock (paper §2): the first tuple starts it, and a tuple
   * whose timestamp is at least `slide` after the last expiry triggers the
-  * next expiry and restarts the clock at its own timestamp.
+  * next expiry and restarts the clock at its own timestamp. Timestamps must
+  * not decrease; equal ones are fine.
   */
 final class SlideClock(slide: Long) {
   private var lastExpiryAt: Long = Long.MinValue
+  private var latest: Long = Long.MinValue
 
-  /** Whether processing a tuple with timestamp `ts` runs expiry. */
-  def tick(ts: Long): Boolean =
+  /** Whether processing a tuple with timestamp `ts` runs expiry. Throws an
+    * `IllegalArgumentException`, changing nothing, if `ts` is below the
+    * latest timestamp seen.
+    */
+  def tick(ts: Long): Boolean = {
+    require(ts >= latest, s"out-of-order timestamp $ts: the stream is already at $latest")
+    latest = ts
     if (lastExpiryAt == Long.MinValue) { lastExpiryAt = ts; false }
     else if (ts - lastExpiryAt >= slide) { lastExpiryAt = ts; true }
     else false
+  }
 }

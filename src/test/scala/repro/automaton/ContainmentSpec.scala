@@ -1,8 +1,8 @@
 package repro.automaton
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class ContainmentSpec extends SparkSpec {
+class ContainmentSpec extends AnyFunSuite {
 
   test("single-state DFA (a*) trivially has the containment property") {
     val c = Containment(Dfa.fromPattern("a*"))

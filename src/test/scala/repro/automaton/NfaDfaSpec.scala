@@ -2,10 +2,9 @@ package repro.automaton
 
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
+import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
-
-class NfaDfaSpec extends SparkSpec {
+class NfaDfaSpec extends AnyFunSuite {
 
   private def words(alphabet: Seq[String], maxLen: Int): Iterator[List[String]] = {
     def go(len: Int): Iterator[List[String]] =

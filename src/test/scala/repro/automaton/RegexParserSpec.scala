@@ -1,9 +1,10 @@
 package repro.automaton
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import Regex._
 
-class RegexParserSpec extends SparkSpec {
+class RegexParserSpec extends AnyFunSuite {
 
   test("single label") { assert(parse("a") == Sym("a")) }
   test("multi-char label") { assert(parse("follows") == Sym("follows")) }

@@ -2,12 +2,13 @@ package repro.batch
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.batch.BatchRpq.E
 import repro.stream.SnapshotGraph
 
-class BatchRpqSpec extends SparkSpec {
+class BatchRpqSpec extends AnyFunSuite {
 
   test("single edge, single-label query") {
     val r = BatchRpq.evaluate(Seq(E(1, 2, "a")), Dfa.fromPattern("a"))

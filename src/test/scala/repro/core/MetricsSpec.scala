@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class MetricsSpec extends SparkSpec {
+class MetricsSpec extends AnyFunSuite {
 
   test("empty recorder reports zeros") {
     val m = new Metrics

@@ -2,13 +2,14 @@ package repro.core
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.batch.BatchRpq
 import repro.stream.{Op, Sgt, WindowSpec}
 
 /** Explicit deletions via negative tuples (paper §3.2, Algorithm Delete). */
-class RapqDeleteSpec extends SparkSpec {
+class RapqDeleteSpec extends AnyFunSuite {
 
   private def engine(p: String, size: Long = 1000): RapqEngine =
     new RapqEngine(Dfa.fromPattern(p), WindowSpec(size, 100000))

@@ -2,9 +2,10 @@ package repro.core
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
-import repro.batch.BatchRpq
+import repro.batch.{BatchRpq, PersistentBatchBaseline}
 import repro.data.StreamGen
 import repro.stream.{Sgt, WindowSpec}
 
@@ -12,7 +13,7 @@ import repro.stream.{Sgt, WindowSpec}
   * every window snapshot — the monotone result-stream semantics of
   * Definition 9.
   */
-class RapqEngineSpec extends SparkSpec {
+class RapqEngineSpec extends AnyFunSuite {
 
   private val patterns = Seq(
     "a*", "a b*", "a b* c*", "(a | b | c)*", "a b* c", "a* b*",
@@ -105,6 +106,24 @@ class RapqEngineSpec extends SparkSpec {
       e.forceExpiry(3)
       assert(e.currentResults(3) == Set((7L, hi), (7L, lo)))
     }
+  }
+
+  test("a timestamp below the latest one is rejected by both engines and the baseline") {
+    // at ts = 100 the window is (90, 100]: accepting (3→4) at ts = 50 would
+    // report a path that lies outside it
+    val dfa = Dfa.fromPattern("a")
+    val w = WindowSpec(10, 1)
+    for (e <- Seq[DeltaForest](new RapqEngine(dfa, w), new RspqEngine(dfa, w))) {
+      e.processTuple(Sgt(100, 1, 2, "a"))
+      intercept[IllegalArgumentException](e.processTuple(Sgt(50, 3, 4, "a")))
+      assert(e.graph.numEdges == 1, "a rejected tuple leaves no trace")
+      e.processTuple(Sgt(100, 5, 6, "a")) // equal timestamps stay legal
+      assert(e.results.toSet == Set((1L, 2L), (5L, 6L)))
+    }
+    val base = new PersistentBatchBaseline(dfa, w)
+    base.processTuple(Sgt(100, 1, 2, "a"))
+    intercept[IllegalArgumentException](base.processTuple(Sgt(50, 3, 4, "a")))
+    assert(base.processTuple(Sgt(100, 5, 6, "a")) == Set((1L, 2L), (5L, 6L)))
   }
 
   test("self-loops under arbitrary semantics can produce self-results") {

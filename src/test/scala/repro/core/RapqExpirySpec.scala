@@ -1,13 +1,14 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.stream.{Sgt, WindowSpec}
 
 /** Window expiry and reconnection behaviour of Algorithm ExpiryRAPQ
   * (paper §3.1, Example 3.2's reconnection in isolation).
   */
-class RapqExpirySpec extends SparkSpec {
+class RapqExpirySpec extends AnyFunSuite {
 
   private val f = "follows"
   private val m = "mentions"

@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.stream.{Sgt, WindowSpec}
 
@@ -15,7 +16,7 @@ import repro.stream.{Sgt, WindowSpec}
   * Lemma 1 requires the eager refresh; reconnection-after-deletion is
   * covered by [[RapqExpirySpec]]).
   */
-class RapqPaperExampleSpec extends SparkSpec {
+class RapqPaperExampleSpec extends AnyFunSuite {
 
   private val f = "follows"
   private val m = "mentions"

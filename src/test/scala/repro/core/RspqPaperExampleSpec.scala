@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 import repro.stream.{Sgt, WindowSpec}
 
@@ -8,7 +9,7 @@ import repro.stream.{Sgt, WindowSpec}
   * `Q1 : (follows ∘ mentions)+` with the cycle ⟨x,y,u,v,y⟩ and the
   * alternative simple path ⟨x,z,u,v,y⟩.
   */
-class RspqPaperExampleSpec extends SparkSpec {
+class RspqPaperExampleSpec extends AnyFunSuite {
 
   private val f = "follows"
   private val m = "mentions"

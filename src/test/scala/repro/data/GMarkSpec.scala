@@ -2,10 +2,11 @@ package repro.data
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Dfa
 
-class GMarkSpec extends SparkSpec {
+class GMarkSpec extends AnyFunSuite {
 
   test("workload is deterministic and has 100 queries") {
     val w1 = GMark.workload()

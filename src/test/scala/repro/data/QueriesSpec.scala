@@ -1,9 +1,10 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.automaton.Containment
 
-class QueriesSpec extends SparkSpec {
+class QueriesSpec extends AnyFunSuite {
 
   test("Table 2: eleven templates, named Q1..Q11") {
     val qs = Queries.templates("a", "b", "c")

@@ -1,9 +1,10 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.stream.Op
 
-class StreamGenSpec extends SparkSpec {
+class StreamGenSpec extends AnyFunSuite {
 
   test("soLike is deterministic in its seed") {
     assert(StreamGen.soLike(50, 200, seed = 1) == StreamGen.soLike(50, 200, seed = 1))

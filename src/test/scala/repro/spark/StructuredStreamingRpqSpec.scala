@@ -6,7 +6,7 @@ import scala.jdk.CollectionConverters._
 
 import repro.SparkSpec
 import repro.automaton.Dfa
-import repro.stream.{Sgt, WindowSpec}
+import repro.stream.{Op, Sgt, WindowSpec}
 
 /** End-to-end Structured Streaming deployment: sgts dropped as files, results
   * appended to the output log by the foreachBatch maintainer.
@@ -28,7 +28,11 @@ class StructuredStreamingRpqSpec extends SparkSpec {
       job.feed(Seq(Sgt(1, 1, 2, "a")), batchId = 0)
       job.processAllAvailable()
       assert(job.output.isEmpty)
-      job.feed(Seq(Sgt(2, 2, 3, "b")), batchId = 1)
+      // a backslash, then u0061: written unescaped, a JSON reader reads the label as `a`
+      job.feed(Seq(Sgt(2, 5, 2, "\\" + "u0061")), batchId = 1)
+      // the incremental maintainer cannot apply deletions, so they are refused
+      intercept[IllegalArgumentException](job.feed(Seq(Sgt(3, 1, 2, "a", Op.Delete)), batchId = 2))
+      job.feed(Seq(Sgt(3, 2, 3, "b")), batchId = 2)
       job.processAllAvailable()
       assert(job.output.asScala.toSet == Set((1L, 3L)))
     }

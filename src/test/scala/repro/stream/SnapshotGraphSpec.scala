@@ -1,8 +1,8 @@
 package repro.stream
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SnapshotGraphSpec extends SparkSpec {
+class SnapshotGraphSpec extends AnyFunSuite {
 
   test("add returns true for new edges, false for refreshes") {
     val g = new SnapshotGraph
