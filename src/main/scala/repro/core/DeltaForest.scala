@@ -12,6 +12,11 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * timestamp. It owns the window graph, the lazy-expiration clock (§2), the
   * vertex→trees index, Algorithm Delete (§3.2) and the expiry loop.
   *
+  * It also drives the traversal that Insert (§3.1) and Extend (§4.1) share:
+  * an arriving edge seeds extension frames, expiry re-seeds a lost pair from
+  * valid in-edges ([[reopen]]), and each engine's `drain` applies its own
+  * rule to the frames, kept on one stack that every traversal reuses.
+  *
   * Node keys are `v · k + s` for `k` DFA states; `processTuple` and
   * `deleteEdge` reject vertex ids for which that overflows.
   */
@@ -66,14 +71,22 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     expireTrees(trees.valuesIterator.to(mutable.ArrayBuffer), ts)
   }
 
-  /** Add edge `u -l-> v` to the window graph and extend Δ. */
-  protected def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit
+  /** A new spanning tree `T_x` holding only its root. */
+  protected def newTree(x: Long): T
 
-  /** The engine's half of expiry on `tree`, just pruned of `expired`: reconnect
-    * what valid edges still reach; add results left disconnected to `invalidated`.
+  /** Pop the frame stack to empty, applying the engine's extension rule to
+    * each frame of a traversal of `tree`.
     */
-  protected def reconnect(tree: T, expired: Array[Node], minTs: Long,
-                          invalidated: mutable.Set[(Long, Long)]): Unit
+  protected def drain(tree: T, minTs: Long): Unit
+
+  /** Called once per arriving edge, before its traversals. */
+  protected def arrival(): Unit = ()
+
+  /** The engine's half of expiry on `tree`, just pruned of `expired`:
+    * reconnect what valid edges still reach, and return the expired nodes
+    * whose results may now be invalidated.
+    */
+  protected def reconnect(tree: T, expired: Array[Node], minTs: Long): Array[Node]
 
   /** Whether a pair `(x, x)` counts as a result. */
   protected def selfPairs: Boolean
@@ -88,12 +101,13 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   /** Trees holding at least one node for vertex `v`. */
   protected final def treesOf(v: Long): collection.Set[T] = vertexTrees.getOrElse(v, Set.empty[T])
 
-  /** Count a node for vertex `v` that was just stored in `tree`. */
-  protected final def nodeAdded(tree: T, v: Long): Unit = {
+  /** Store node `n` in `tree` and count it in the vertex→trees index. */
+  protected final def addNode(tree: T, n: Node): Unit = {
+    tree.add(key(n.v, n.s), n)
     tree.size += 1
-    val c = tree.vertexNodeCount.getOrElse(v, 0)
-    tree.vertexNodeCount(v) = c + 1
-    if (c == 0) vertexTrees.getOrElseUpdate(v, mutable.Set.empty) += tree
+    val c = tree.vertexNodeCount.getOrElse(n.v, 0)
+    tree.vertexNodeCount(n.v) = c + 1
+    if (c == 0) vertexTrees.getOrElseUpdate(n.v, mutable.Set.empty) += tree
   }
 
   private def nodeRemoved(tree: T, v: Long): Unit = {
@@ -107,6 +121,69 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
       }
     } else tree.vertexNodeCount(v) = c
   }
+
+  // ----------------------------------------------------- extension traversal
+
+  /** Frames waiting in the current traversal. */
+  protected final val frames = mutable.Stack.empty[Frame]
+
+  /** Add edge `u -l-> v` to the window graph and extend Δ: every tree holding
+    * a valid `(u, s)` with `δ(s, l) = t` tries to add `(v, t)` under it.
+    */
+  private def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
+    arrival()
+    graph.add(u, v, label, ts)
+    val pairs = dfa.byLabel.getOrElse(label, Nil)
+    if (pairs.isEmpty) return
+    val minTs = window.lowerBound(ts)
+
+    // New spanning tree rooted at (u, s0) if this edge leaves the start state.
+    if (pairs.exists(_._1 == dfa.start) && !trees.contains(u)) {
+      val tree = newTree(u)
+      addNode(tree, tree.rootNode)
+      trees(u) = tree
+    }
+
+    // A traversal adds nodes only to its own tree, which already counts u, so
+    // treesOf(u) does not change while it is iterated.
+    treesOf(u).foreach { tree =>
+      traverse(tree, minTs) {
+        pairs.foreach { case (s, t) =>
+          tree.nodesFor(key(u, s)).foreach { n =>
+            if (n.ts > minTs) frames.push(Frame(n, v, t, ts))
+          }
+        }
+      }
+    }
+  }
+
+  /** One traversal of `tree`: clear the stack, which a traversal cut short by
+    * an exception may have left non-empty, push the frames of `seed`, and
+    * drain them. The seed frames pop in the order they were pushed, so each
+    * one's depth-first walk ends before the next one starts.
+    */
+  protected final def traverse(tree: T, minTs: Long)(seed: => Unit): Unit = {
+    frames.clear()
+    seed
+    var i = 0
+    var j = frames.size - 1
+    while (i < j) { val f = frames(i); frames(i) = frames(j); frames(j) = f; i += 1; j -= 1 }
+    drain(tree, minTs)
+  }
+
+  /** Push a frame to `(v, t)` from every valid node with a window edge into
+    * `v` that the DFA takes to `t`.
+    */
+  protected final def reopen(tree: T, v: Long, t: Int, minTs: Long): Unit =
+    graph.inEdges(v, minTs).foreach { e =>
+      dfa.byLabel.getOrElse(e.label, Nil).foreach { case (q, t2) =>
+        if (t2 == t) {
+          tree.nodesFor(key(e.src, q)).foreach { m =>
+            if (m.ts > minTs) frames.push(Frame(m, v, t, e.ts))
+          }
+        }
+      }
+    }
 
   // ------------------------------------------------------------------ expiry
 
@@ -126,7 +203,12 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
           if (n.parent != null) n.parent.removeChild(n)
           n.parent = null
         }
-        reconnect(tree, expired, minTs, invalidated)
+        // a result is invalidated when its final pair stayed disconnected
+        reconnect(tree, expired, minTs).foreach { n =>
+          if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
+              tree.nodesFor(key(n.v, n.s)).isEmpty)
+            invalidated += ((tree.rootVertex, n.v))
+        }
       }
       if (tree.size <= 1) {
         nodeRemoved(tree, tree.rootVertex)
@@ -154,14 +236,16 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
     val affected = mutable.ArrayBuffer.empty[T]
     treesOf(v).foreach { tree =>
+      var hit = false
       pairs.foreach { case (s, t) =>
-        tree.nodesFor(key(v, t)).iterator.foreach { node =>
+        tree.nodesFor(key(v, t)).foreach { node =>
           if (node.parent != null && node.parent.v == u && node.parent.s == s) {
             markSubtree(node)
-            if (!affected.contains(tree)) affected += tree
+            hit = true
           }
         }
       }
+      if (hit) affected += tree
     }
     if (affected.nonEmpty) expireTrees(affected, ts) else Set.empty
   }
@@ -206,6 +290,11 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
 object DeltaForest {
 
+  /** An extension attempt: try to add `(v, t)` as a child of `parent` using an
+    * edge with timestamp `edgeTs`. The engine's rule is checked at pop time.
+    */
+  private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
+
   /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
     * intrusive child list (needed by Delete's subtree marking).
     */
@@ -233,7 +322,8 @@ object DeltaForest {
     private[core] val vertexNodeCount = mutable.LongMap.empty[Int]
 
     def allNodes: Iterator[Node]
-    def nodesFor(k: Long): IterableOnce[Node]
+    def nodesFor(k: Long): List[Node]
+    def add(k: Long, n: Node): Unit
     def remove(k: Long, n: Node): Unit
   }
 }

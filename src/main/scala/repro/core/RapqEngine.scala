@@ -7,11 +7,13 @@ import repro.stream.WindowSpec
 
 /** Incremental RPQ evaluation under **arbitrary path semantics** on a
   * time-based sliding window (paper §3: Algorithms RAPQ, Insert, ExpiryRAPQ
-  * and §3.2: Delete). The Δ tree index, the window clock and Delete live in
-  * [[DeltaForest]]; each tree holds at most one node per `(v, s)` pair.
+  * and §3.2: Delete). The Δ tree index, the window clock, Delete and the
+  * extension traversal live in [[DeltaForest]]; this engine adds Insert's
+  * rule and ExpiryRAPQ's choice of what to reconnect. Each tree holds at most
+  * one node per `(v, s)` pair.
   *
   * Faithfulness notes (see DESIGN.md §3):
-  *   - `insert` re-parents a pre-existing node onto a fresher path and
+  *   - `drain` re-parents a pre-existing node onto a fresher path and
   *     recurses over its outgoing edges, so node timestamps always equal the
   *     best window-path freshness and append-only expiry is a pure filter;
   *   - eager evaluation (results produced per arriving tuple), lazy
@@ -22,94 +24,60 @@ final class RapqEngine(
     window: WindowSpec,
     collectResults: Boolean = true,
 ) extends DeltaForest(dfa, window, collectResults) {
-  import DeltaForest.Node
+  import DeltaForest.{Frame, Node}
   import RapqEngine.Tree
 
   protected type T = Tree
 
   protected def selfPairs: Boolean = true
 
+  protected def newTree(x: Long): Tree = new Tree(x, dfa.start)
+
   // ------------------------------------------------------------------ insert
 
-  protected def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
-    graph.add(u, v, label, ts)
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
-    if (pairs.isEmpty) return
-    val minTs = window.lowerBound(ts)
-
-    // New spanning tree rooted at (u, s0) if this edge leaves the start state.
-    if (pairs.exists(_._1 == dfa.start) && !trees.contains(u)) {
-      val tree = new Tree(u, dfa.start)
-      addNode(tree, key(u, dfa.start), tree.rootNode)
-      trees(u) = tree
-    }
-
-    // Extend every tree that contains (u, s) for a transition (s, t) on label.
-    // snapshot: insertion can add this vertex to more trees mid-iteration
-    val snapshot = treesOf(u).toArray
-    var i = 0
-    while (i < snapshot.length) {
-      val tree = snapshot(i)
-      pairs.foreach { case (s, t) =>
-        val parent = tree.nodes.getOrNull(key(u, s))
-        if (parent != null && parent.ts > minTs) {
-          insert(tree, parent, v, t, ts, minTs)
-        }
-      }
-      i += 1
-    }
-  }
-
-  /** Algorithm Insert: connect `(v, t)` under `parent`, recursing
-    * (iteratively) over the window's outgoing edges on first insertion and
-    * on every freshness improvement.
+  /** Algorithm Insert: connect each frame's `(v, t)` under its parent, and
+    * push the window's outgoing edges on first insertion and on every
+    * freshness improvement.
     */
-  private def insert(tree: Tree, parent0: Node, v0: Long, t0: Int, edgeTs0: Long, minTs: Long): Unit = {
-    val stack = mutable.Stack.empty[(Node, Long, Int, Long)]
-    stack.push((parent0, v0, t0, edgeTs0))
-    while (stack.nonEmpty) {
-      val (parent, v, t, edgeTs) = stack.pop()
-      // parent may have been expired/invalidated since being scheduled
-      if (parent.ts > minTs && (tree.nodes.getOrNull(key(parent.v, parent.s)) eq parent)) {
-        val newTs = math.min(edgeTs, parent.ts)
-        if (newTs > minTs) {
-          val existing = tree.nodes.getOrNull(key(v, t))
-          val node =
-            if (existing == null) {
-              val n = new Node(v, t, parent, newTs)
-              parent.addChild(n)
-              addNode(tree, key(v, t), n)
-              if (dfa.isFinal(t)) emit(tree.rootVertex, v)
-              n
-            } else if (existing.ts < newTs) {
-              // Freshness improvement: re-parent onto the fresher path and
-              // propagate below (Insert lines 7–10 apply to this case too —
-              // eager propagation is what keeps invariant 1 of Lemma 1 true
-              // on *every* arrival, not just at expiry boundaries).
-              // Cycle-safe: timestamps are non-increasing along any tree
-              // path, so an ancestor can never satisfy `existing.ts < newTs`.
-              existing.reparent(parent)
-              existing.ts = newTs
-              existing
-            } else null
-          if (node != null) {
-            graph.outEdges(v, minTs).foreach { e =>
-              dfa.delta(t, e.label).foreach { q =>
-                val ex = tree.nodes.getOrNull(key(e.dst, q))
-                if (ex == null || ex.ts < math.min(node.ts, e.ts))
-                  stack.push((node, e.dst, q, e.ts))
+  protected def drain(tree: Tree, minTs: Long): Unit =
+    while (frames.nonEmpty) frames.pop() match {
+      case Frame(parent, v, t, edgeTs) =>
+        // A frame's parent is still in the tree: nodes leave a tree only in
+        // expiry, before that tree's frames are built.
+        if (parent.ts > minTs) {
+          val newTs = math.min(edgeTs, parent.ts)
+          if (newTs > minTs) {
+            val existing = tree.nodes.getOrNull(key(v, t))
+            val node =
+              if (existing == null) {
+                val n = new Node(v, t, parent, newTs)
+                parent.addChild(n)
+                addNode(tree, n)
+                if (dfa.isFinal(t)) emit(tree.rootVertex, v)
+                n
+              } else if (existing.ts < newTs) {
+                // Freshness improvement: re-parent onto the fresher path and
+                // propagate below (Insert lines 7–10 apply to this case too —
+                // eager propagation is what keeps invariant 1 of Lemma 1 true
+                // on *every* arrival, not just at expiry boundaries).
+                // Cycle-safe: timestamps are non-increasing along any tree
+                // path, so an ancestor can never satisfy `existing.ts < newTs`.
+                existing.reparent(parent)
+                existing.ts = newTs
+                existing
+              } else null
+            if (node != null) {
+              graph.outEdges(v, minTs).foreach { e =>
+                dfa.delta(t, e.label).foreach { q =>
+                  val ex = tree.nodes.getOrNull(key(e.dst, q))
+                  if (ex == null || ex.ts < math.min(node.ts, e.ts))
+                    frames.push(Frame(node, e.dst, q, e.ts))
+                }
               }
             }
           }
         }
-      }
     }
-  }
-
-  private def addNode(tree: Tree, k: Long, n: Node): Unit = {
-    tree.nodes(k) = n
-    nodeAdded(tree, n.v)
-  }
 
   // ------------------------------------------------------------------ expiry
 
@@ -117,27 +85,13 @@ final class RapqEngine(
     * freshest known path left the window via still-valid incoming edges
     * (which re-discovers results through alternative paths).
     */
-  protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long,
-                          invalidated: mutable.Set[(Long, Long)]): Unit = {
+  protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {
     // Insert's recursion transitively re-adds reachable descendants.
     expired.foreach { n =>
-      if (tree.nodes.getOrNull(key(n.v, n.s)) == null) {
-        graph.inEdges(n.v, minTs).foreach { e =>
-          dfa.byLabel.getOrElse(e.label, Nil).foreach { case (s, t) =>
-            if (t == n.s) {
-              val parent = tree.nodes.getOrNull(key(e.src, s))
-              if (parent != null && parent.ts > minTs)
-                insert(tree, parent, n.v, t, e.ts, minTs)
-            }
-          }
-        }
-      }
+      if (tree.nodes.getOrNull(key(n.v, n.s)) == null)
+        traverse(tree, minTs)(reopen(tree, n.v, n.s, minTs))
     }
-    // nodes that stayed disconnected: report invalidated results
-    expired.foreach { n =>
-      if (tree.nodes.getOrNull(key(n.v, n.s)) == null && dfa.isFinal(n.s))
-        invalidated += ((tree.rootVertex, n.v))
-    }
+    expired
   }
 
   // ------------------------------------------------------------------ views
@@ -163,7 +117,11 @@ object RapqEngine {
     val nodes = mutable.LongMap.empty[Node]
 
     def allNodes: Iterator[Node] = nodes.valuesIterator
-    def nodesFor(k: Long): Option[Node] = nodes.get(k)
+    def nodesFor(k: Long): List[Node] = {
+      val n = nodes.getOrNull(k)
+      if (n == null) Nil else n :: Nil
+    }
+    def add(k: Long, n: Node): Unit = nodes(k) = n
     def remove(k: Long, n: Node): Unit = nodes.remove(k)
   }
 }

@@ -74,13 +74,18 @@ object SparkBatchRpq {
       if (!done) all = all.union(delta).localCheckpoint(eager = true)
     }
 
-    val finals = dfa.finals.toSeq
-    all
-      .where(col("s").isInCollection(finals))
+    accepting(all, dfa)
+  }
+
+  /** Distinct result pairs `(x, v)` of the reached product nodes `(x, v, s)`:
+    * `s` is final, and the empty path, `v = x` with `s = s0`, is left out.
+    */
+  private[spark] def accepting(reached: DataFrame, dfa: Dfa): DataFrame =
+    reached
+      .where(col("s").isInCollection(dfa.finals.toSeq))
       .where(!(col("v") === col("x") && col("s") === dfa.start))
       .select("x", "v")
       .distinct()
-  }
 
   /** DuckDB ground-truth for [[evaluate]], over oracle tables
     * `edges(src, dst, label)`, `trans(s, label, t)` and `finals(state)`

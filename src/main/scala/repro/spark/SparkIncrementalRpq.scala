@@ -102,22 +102,14 @@ final class SparkIncrementalRpq(spark: SparkSession, val dfa: Dfa, val window: W
     state = acc
 
     // new result pairs: accepting + valid now, not accepting + valid before
-    val finals = dfa.finals.toSeq
-    def accepting(df: DataFrame, bound: Long): DataFrame =
-      df.where(col("s").isInCollection(finals) && col("bestTs") > bound)
-        .where(!(col("v") === col("x") && col("s") === dfa.start))
-        .select("x", "v").distinct()
-    accepting(state, minTs).except(accepting(previous, minTs))
+    def valid(df: DataFrame): DataFrame =
+      SparkBatchRpq.accepting(df.where(col("bestTs") > minTs), dfa)
+    valid(state).except(valid(previous))
   }
 
   /** Current explicit-window result pairs `(x, v)` as of the max seen ts. */
-  def currentResults(): DataFrame = {
-    val finals = dfa.finals.toSeq
-    state
-      .where(col("s").isInCollection(finals) && col("bestTs") > window.lowerBound(maxTs))
-      .where(!(col("v") === col("x") && col("s") === dfa.start))
-      .select("x", "v").distinct()
-  }
+  def currentResults(): DataFrame =
+    SparkBatchRpq.accepting(state.where(col("bestTs") > window.lowerBound(maxTs)), dfa)
 
   /** The maintained window content (for cross-checks against the batch path). */
   def currentWindowEdges(): DataFrame = windowEdges

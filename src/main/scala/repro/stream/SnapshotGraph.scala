@@ -22,13 +22,6 @@ final class SnapshotGraph {
   /** Number of distinct logical edges currently stored. */
   def numEdges: Long = edgeCount
 
-  /** Distinct vertices that are an endpoint of at least one stored edge. */
-  def numVertices: Long = {
-    val vs = mutable.Set.empty[Long]
-    out.foreach { case (u, m) => if (m.nonEmpty) { vs += u; m.keysIterator.foreach(vs += _._1) } }
-    vs.size.toLong
-  }
-
   /** Insert edge or refresh its timestamp; returns true if the edge is new. */
   def add(src: Long, dst: Long, label: String, ts: Long): Boolean = {
     val om = out.getOrElseUpdate(src, mutable.Map.empty)

@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.automaton.Dfa
 import repro.batch.{BatchRpq, PersistentBatchBaseline}
-import repro.data.StreamGen
+import repro.data.{Queries, StreamGen}
 import repro.stream.{Sgt, WindowSpec}
 
 /** Randomized cross-checks of Algorithm RAPQ against the batch evaluator on
@@ -153,5 +153,57 @@ class RapqEngineSpec extends AnyFunSuite {
     assert(e.emissionCount >= e.results.size)
     assert(e.results.toSet ==
       Set((0L, 1L), (0L, 2L), (1L, 2L), (1L, 1L), (2L, 1L), (2L, 2L)))
+  }
+
+  test("Insert, expiry and Delete do the same work at every slide of fixed streams") {
+    // (emissionCount, numNodes, numTrees, expiryRuns) at the first tuple of
+    // each slide. Emissions after expiry or Delete count re-discoveries, which
+    // depend on the shape of each spanning tree, so the sequences pin down the
+    // order in which Insert's traversal reaches nodes, not only its results.
+    def workAtSlides(stream: Seq[Sgt], query: Queries.Q, w: WindowSpec): Seq[String] = {
+      val e = new RapqEngine(query.dfa, w, collectResults = false)
+      var slide = Long.MinValue
+      stream.flatMap { t =>
+        e.processTuple(t)
+        if (t.ts / w.slide == slide) None
+        else {
+          slide = t.ts / w.slide
+          Some(s"${e.emissionCount} ${e.numNodes} ${e.numTrees} ${e.expiryRuns}")
+        }
+      }
+    }
+    val soQ2 = Queries.so.find(_.name == "Q2").get
+    val yagoQ9 = Queries.yago.find(_.name == "Q9").get
+    val cases = Seq(
+      "so Q2" -> workAtSlides(StreamGen.soLike(400, 3000, 5), soQ2, WindowSpec(2000, 60)),
+      "yago Q9 with deletions" -> workAtSlides(
+        StreamGen.withDeletions(StreamGen.yagoLike(1200, 6000, 9), 0.1, 19), yagoQ9,
+        WindowSpec(3000, 300)),
+    )
+    val expected = Seq(
+      "1 2 1 0;45 58 13 0;157 177 20 1;393 419 26 2;778 816 38 3;" +
+      "1389 1436 47 4;2005 2061 56 5;2646 2707 61 6;3233 3298 65 7;3649 3717 68 8;" +
+      "4457 4528 71 9;5163 5239 76 10;5843 5925 82 11;6306 6392 86 12;7047 7140 93 13;" +
+      "7822 7920 98 14;9001 9103 102 15;9667 9770 103 16;10548 10655 107 17;11161 11270 109 18;" +
+      "11716 11829 113 19;12271 12388 117 20;12706 12824 118 21;13640 13763 123 22;14578 14705 127 23;" +
+      "15705 15837 132 24;16739 16876 137 25;17515 17654 139 26;18047 18188 141 27;18051 18192 141 28;" +
+      "18195 18337 142 29;19132 19276 144 30;20562 20713 151 31;22285 22439 154 32;22894 23051 157 33;" +
+      "23636 23358 157 34;24498 23458 155 35;25766 23261 154 36;26917 23058 151 37;27343 22205 144 38;" +
+      "28052 21580 144 39;28633 21420 143 40;29853 22096 147 41;30279 21973 148 42;31144 22251 148 43;" +
+      "32316 22421 149 44;33069 22558 150 45;33764 22552 149 46;34146 21603 142 47;34852 21374 138 48;" +
+      "36006 21826 139 49",
+      "1 2 1 0;233 388 174 19;532 793 320 44;927 1248 427 66;1483 1867 536 81;" +
+      "2321 2735 628 97;3156 3521 704 118;4272 4653 772 134;5868 6162 828 154;8381 8351 881 175;" +
+      "11624 11476 930 189;14558 14187 969 204;18819 16255 972 224;23578 15952 965 242;28171 17303 976 258;" +
+      "32765 17346 982 275;38246 17281 984 286;41363 18633 990 297;45737 19695 991 312;51015 20325 994 326;" +
+      "54499 19840 986 335;59141 19998 986 348;63152 19622 997 361",
+    )
+    cases.zip(expected).foreach { case ((name, actual), want) =>
+      val wanted = want.split(';').toSeq
+      val diverged = actual.zip(wanted).indexWhere { case (a, b) => a != b }
+      if (diverged >= 0)
+        fail(s"[$name] slide $diverged: got ${actual(diverged)}, want ${wanted(diverged)}")
+      assert(actual.size == wanted.size, s"[$name] slides")
+    }
   }
 }

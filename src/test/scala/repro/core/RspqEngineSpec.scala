@@ -165,6 +165,18 @@ class RspqEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("a tuple after a budget failure is processed on its own") {
+    // the 1 -> 2 arrival blows the budget with three of vertex 2's fan-out
+    // extensions still pending; they must not leak into the next traversal
+    val e = new RspqEngine(Dfa.fromPattern("a+"), WindowSpec(100, 1000), stepBudgetPerTuple = 3)
+    (10 to 15).foreach(d => e.processTuple(Sgt(d.toLong, 2, d.toLong, "a")))
+    intercept[RspqBudgetExceeded](e.processTuple(Sgt(20, 1, 2, "a")))
+    val before = e.results.toSet
+    e.processTuple(Sgt(21, 100, 101, "a"))
+    assert(e.results.toSet -- before == Set((100L, 101L)))
+    assert(e.currentResults(21).filter(_._1 == 100L) == Set((100L, 101L)))
+  }
+
   test("explicit deletions under simple path semantics match brute force") {
     val dfa = Dfa.fromPattern("(a b)+")
     val w = WindowSpec(60, 15)

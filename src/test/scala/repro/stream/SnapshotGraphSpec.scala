@@ -25,7 +25,6 @@ class SnapshotGraphSpec extends AnyFunSuite {
     val g = new SnapshotGraph
     g.add(1, 2, "a", 1); g.add(2, 3, "a", 2); g.add(1, 2, "a", 3)
     assert(g.numEdges == 2)
-    assert(g.numVertices == 3)
   }
 
   test("outEdges filters on timestamp strictly greater than minTs") {
