@@ -34,9 +34,10 @@ object BatchRpq {
     val k = dfa.k
 
     roots.foreach { x =>
-      val visited = mutable.Set.empty[Long] // encoded (v, s)
+      // visited vertices per DFA state: no (v, s) encoding that could overflow
+      val visited = Array.fill(k)(mutable.Set.empty[Long])
       val queue   = mutable.Queue.empty[(Long, Int)]
-      visited += x * k + dfa.start
+      visited(dfa.start) += x
       queue.enqueue((x, dfa.start))
       while (queue.nonEmpty) {
         val (v, s) = queue.dequeue()
@@ -45,8 +46,7 @@ object BatchRpq {
             // acceptance is checked on the relaxation, before the visited
             // check, but the start node never reports (ε-result convention)
             if (dfa.isFinal(t) && !(w == x && t == dfa.start)) results += ((x, w))
-            val key = w * k + t
-            if (!visited.contains(key)) { visited += key; queue.enqueue((w, t)) }
+            if (visited(t).add(w)) queue.enqueue((w, t))
           }
         }
       }

@@ -12,6 +12,14 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * timestamp. It owns the window graph, the lazy-expiration clock (§2), the
   * vertex→trees index, Algorithm Delete (§3.2) and the expiry loop.
   *
+  * Slide expiry visits only what is due: every non-root node is filed in a
+  * [[DueIndex]] under its timestamp's slide-sized bucket, and a slide pops
+  * the buckets the window has left. A popped node expires if its `ts` has
+  * left the window, is dropped if it already left its tree, and is filed
+  * again under its current `ts` otherwise (a RAPQ node refreshed since, or a
+  * node of the boundary bucket). Delete still scans the trees it affects,
+  * which also removes the nodes that expired there since the last slide.
+  *
   * It also drives the traversal that Insert (§3.1) and Extend (§4.1) share:
   * an arriving edge seeds extension frames, expiry re-seeds a lost pair from
   * valid in-edges ([[reopen]]), and each engine's `drain` applies its own
@@ -39,6 +47,10 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   var expiryRuns: Long  = 0L
 
   protected final val trees = mutable.LongMap.empty[T]
+  private[core] val due = new DueIndex(window.slide)
+  // Cumulative slide pop counts: every popped node is expired, filed again,
+  // or dropped because it already left its tree.
+  private[core] var duePopped, dueExpired, dueRefiled = 0L
   // Inverted index: vertex -> trees containing >= 1 node for that vertex.
   private val vertexTrees = mutable.LongMap.empty[mutable.Set[T]]
   private val clock = new SlideClock(window.slide)
@@ -67,8 +79,31 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     * at end-of-stream so the index reflects exactly the final window.
     */
   final def forceExpiry(ts: Long): Unit = {
-    graph.pruneExpired(window.lowerBound(ts))
-    expireTrees(trees.valuesIterator.to(mutable.ArrayBuffer), ts)
+    val minTs = window.lowerBound(ts)
+    graph.pruneExpired(minTs)
+    val t0 = System.nanoTime()
+    // expired nodes grouped by tree, trees and nodes in pop order
+    val expired = mutable.LinkedHashMap.empty[Tree, mutable.ArrayBuffer[Node]]
+    due.popThrough(Math.floorDiv(minTs, window.slide)) { n =>
+      duePopped += 1
+      if (n.tree != null) {
+        if (n.ts <= minTs) {
+          dueExpired += 1
+          expired.getOrElseUpdate(n.tree, mutable.ArrayBuffer.empty) += n
+        } else {
+          dueRefiled += 1
+          due.file(n)
+        }
+      }
+    }
+    // A reconnection that throws (RSPQ's step budget) leaves the later trees
+    // unexpired, as a full scan would; filed again, the next slide pops them.
+    val pending = expired.iterator
+    try pending.foreach { case (tree, ns) => expireNodes(tree.asInstanceOf[T], ns.toArray, minTs) }
+    finally pending.foreach { case (_, ns) => ns.foreach(due.file) }
+    trees.valuesIterator.filter(_.size <= 1).toList.foreach(dropTree)
+    expiryNanos += System.nanoTime() - t0
+    expiryRuns += 1
   }
 
   /** A new spanning tree `T_x` holding only its root. */
@@ -101,17 +136,23 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   /** Trees holding at least one node for vertex `v`. */
   protected final def treesOf(v: Long): collection.Set[T] = vertexTrees.getOrElse(v, Set.empty[T])
 
-  /** Store node `n` in `tree` and count it in the vertex→trees index. */
+  /** Store node `n` in `tree`, count it in the vertex→trees index and, unless
+    * it is the root, file it for expiry.
+    */
   protected final def addNode(tree: T, n: Node): Unit = {
     tree.add(key(n.v, n.s), n)
     tree.size += 1
+    n.tree = tree
+    if (n ne tree.rootNode) due.file(n)
     val c = tree.vertexNodeCount.getOrElse(n.v, 0)
     tree.vertexNodeCount(n.v) = c + 1
     if (c == 0) vertexTrees.getOrElseUpdate(n.v, mutable.Set.empty) += tree
   }
 
-  private def nodeRemoved(tree: T, v: Long): Unit = {
+  private def nodeRemoved(tree: T, n: Node): Unit = {
     tree.size -= 1
+    n.tree = null
+    val v = n.v
     val c = tree.vertexNodeCount.getOrElse(v, 1) - 1
     if (c == 0) {
       tree.vertexNodeCount.remove(v)
@@ -175,11 +216,11 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     * `v` that the DFA takes to `t`.
     */
   protected final def reopen(tree: T, v: Long, t: Int, minTs: Long): Unit =
-    graph.inEdges(v, minTs).foreach { e =>
-      dfa.byLabel.getOrElse(e.label, Nil).foreach { case (q, t2) =>
+    graph.foreachIn(v, minTs) { (src, label, ets) =>
+      dfa.byLabel.getOrElse(label, Nil).foreach { case (q, t2) =>
         if (t2 == t) {
-          tree.nodesFor(key(e.src, q)).foreach { m =>
-            if (m.ts > minTs) frames.push(Frame(m, v, t, e.ts))
+          tree.nodesFor(key(src, q)).foreach { m =>
+            if (m.ts > minTs) frames.push(Frame(m, v, t, ets))
           }
         }
       }
@@ -187,8 +228,28 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
   // ------------------------------------------------------------------ expiry
 
-  /** Expire the given trees (all of Δ on a slide, those that lost a tree edge
-    * on a deletion); returns the invalidated `(x, v)` pairs.
+  /** Remove `expired` from `tree` and reconnect what valid edges still reach;
+    * returns the expired nodes whose results may now be invalidated.
+    */
+  private def expireNodes(tree: T, expired: Array[Node], minTs: Long): Array[Node] = {
+    expired.foreach { n =>
+      tree.remove(key(n.v, n.s), n)
+      nodeRemoved(tree, n)
+      if (n.parent != null) n.parent.removeChild(n)
+      n.parent = null
+    }
+    reconnect(tree, expired, minTs)
+  }
+
+  /** Drop `tree` from Δ once it holds only its root. */
+  private def dropTree(tree: T): Unit = {
+    nodeRemoved(tree, tree.rootNode)
+    trees.remove(tree.rootVertex)
+  }
+
+  /** Expire the trees that lost a tree edge on a deletion, scanning each for
+    * every node that has left the window; returns the invalidated `(x, v)`
+    * pairs.
     */
   private def expireTrees(affected: collection.Seq[T], ts: Long): Set[(Long, Long)] = {
     val t0 = System.nanoTime()
@@ -197,23 +258,14 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     affected.foreach { tree =>
       val expired = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toArray
       if (expired.nonEmpty) {
-        expired.foreach { n =>
-          tree.remove(key(n.v, n.s), n)
-          nodeRemoved(tree, n.v)
-          if (n.parent != null) n.parent.removeChild(n)
-          n.parent = null
-        }
         // a result is invalidated when its final pair stayed disconnected
-        reconnect(tree, expired, minTs).foreach { n =>
+        expireNodes(tree, expired, minTs).foreach { n =>
           if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
               tree.nodesFor(key(n.v, n.s)).isEmpty)
             invalidated += ((tree.rootVertex, n.v))
         }
       }
-      if (tree.size <= 1) {
-        nodeRemoved(tree, tree.rootVertex)
-        trees.remove(tree.rootVertex)
-      }
+      if (tree.size <= 1) dropTree(tree)
     }
     expiryNanos += System.nanoTime() - t0
     expiryRuns += 1
@@ -296,9 +348,13 @@ object DeltaForest {
   private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
 
   /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
-    * intrusive child list (needed by Delete's subtree marking).
+    * intrusive child list (needed by Delete's subtree marking). `tree` is the
+    * tree holding it, `null` once it has left; `nextDue` links it into its
+    * [[DueIndex]] bucket.
     */
   private[core] final class Node(val v: Long, val s: Int, var parent: Node, var ts: Long) {
+    private[core] var tree: Tree = null
+    private[core] var nextDue: Node = null
     private var children: mutable.HashSet[Node] = null
 
     def addChild(c: Node): Unit = {

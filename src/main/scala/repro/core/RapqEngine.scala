@@ -67,11 +67,11 @@ final class RapqEngine(
                 existing
               } else null
             if (node != null) {
-              graph.outEdges(v, minTs).foreach { e =>
-                dfa.delta(t, e.label).foreach { q =>
-                  val ex = tree.nodes.getOrNull(key(e.dst, q))
-                  if (ex == null || ex.ts < math.min(node.ts, e.ts))
-                    frames.push(Frame(node, e.dst, q, e.ts))
+              graph.foreachOut(v, minTs) { (dst, label, ets) =>
+                dfa.delta(t, label).foreach { q =>
+                  val ex = tree.nodes.getOrNull(key(dst, q))
+                  if (ex == null || ex.ts < math.min(node.ts, ets))
+                    frames.push(Frame(node, dst, q, ets))
                 }
               }
             }

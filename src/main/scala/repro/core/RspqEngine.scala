@@ -95,9 +95,9 @@ final class RspqEngine(
                 addNode(tree, node)
                 if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
                 if (wasAbsent) tree.markings += key(v, t)
-                graph.outEdges(v, minTs).foreach { e =>
-                  dfa.delta(t, e.label).foreach { r =>
-                    frames.push(Frame(node, e.dst, r, e.ts))
+                graph.foreachOut(v, minTs) { (dst, label, ets) =>
+                  dfa.delta(t, label).foreach { r =>
+                    frames.push(Frame(node, dst, r, ets))
                   }
                 }
               }

@@ -47,6 +47,15 @@ class BatchRpqSpec extends AnyFunSuite {
     assert(r == Set.empty)
   }
 
+  test("vertex ids near ±2^62 do not collide in the visited set") {
+    // with a (v, s) key of v·k + s, (2^62, s1) and (−2^62, s1) wrapped to the
+    // same key and 7 → −2^62 → 9 was never expanded
+    val big = 1L << 62
+    val edges = Seq(E(7, big, "a"), E(7, -big, "a"), E(-big, 9, "a"))
+    assert(BatchRpq.evaluate(edges, Dfa.fromPattern("a+")) ==
+      Set((7L, big), (7L, -big), (7L, 9L), (-big, 9L)))
+  }
+
   test("evaluateWindow filters on edge timestamps") {
     val g = new SnapshotGraph
     g.add(1, 2, "a", 10); g.add(2, 3, "b", 3)

@@ -3,7 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.automaton.Dfa
-import repro.stream.{Sgt, WindowSpec}
+import repro.batch.{BatchRpq, BruteForceSimple}
+import repro.stream.{Op, Sgt, SlideClock, WindowSpec}
 
 /** Window expiry and reconnection behaviour of Algorithm ExpiryRAPQ
   * (paper §3.1, Example 3.2's reconnection in isolation).
@@ -129,6 +130,112 @@ class RapqExpirySpec extends AnyFunSuite {
       e.forceExpiry(t.ts)
       val expected = repro.batch.BatchRpq.evaluateWindow(e.graph, t.ts - 25, dfa)
       assert(e.currentResults(t.ts) == expected, s"divergence at ts=${t.ts}")
+    }
+  }
+
+  /** Both engines on one query and window. */
+  private def bothEngines(pattern: String, w: WindowSpec): Seq[DeltaForest] = {
+    val dfa = Dfa.fromPattern(pattern)
+    Seq(new RapqEngine(dfa, w), new RspqEngine(dfa, w))
+  }
+
+  /** `currentResults(τ)` equals the engine's oracle on the stored window
+    * edges, and the due index holds no empty bucket.
+    */
+  private def assertExact(e: DeltaForest, ts: Long, clue: String): Unit = {
+    val minTs = e.window.lowerBound(ts)
+    val edges = e.graph.edges.filter(_.ts > minTs).map(x => BatchRpq.E(x.src, x.dst, x.label)).toSeq
+    val want = e match {
+      case _: RspqEngine => BruteForceSimple.evaluate(edges, e.dfa)
+      case _             => BatchRpq.evaluate(edges, e.dfa)
+    }
+    assert(e.currentResults(ts) == want, s"${e.getClass.getSimpleName} $clue")
+    assert(e.due.numBuckets <= e.due.size, s"${e.getClass.getSimpleName} $clue: empty buckets")
+  }
+
+  test("a slide pops only the nodes that are due, whatever |Δ| is") {
+    // a star 0 -a-> i built at ts = i fills Δ with 3,000 nodes, ten per
+    // slide-sized bucket; then slides go on, each due for one bucket, while
+    // every tenth tuple refreshes an edge whose node is four buckets from due
+    for (e <- bothEngines("a+", WindowSpec(5000, 10))) {
+      val name = e.getClass.getSimpleName
+      val build = (1 to 3000).map(i => Sgt(i.toLong, 0, i.toLong, "a"))
+      val expire = (5001 to 7000).map { i =>
+        val ts = i.toLong
+        if (i % 10 == 0) Sgt(ts, 0, ts - 4960, "a") else Sgt(ts, 1, 2, "other")
+      }
+      var slides = 0
+      for (t <- build ++ expire) {
+        val (runs, popped, expired, refiled) = (e.expiryRuns, e.duePopped, e.dueExpired, e.dueRefiled)
+        e.processTuple(t)
+        if (e.expiryRuns > runs) {
+          slides += 1
+          val p = e.duePopped - popped
+          assert(p == (e.dueExpired - expired) + (e.dueRefiled - refiled), s"$name at ${t.ts}")
+          if (t.ts <= 5000) assert(p == 0, s"$name at ${t.ts}: nothing is due yet")
+          else {
+            assert(p <= 20, s"$name at ${t.ts}: popped $p of ${e.numNodes}")
+            assert(e.numNodes > 1000)
+          }
+        }
+      }
+      assert(slides > 400)
+      assert(e.dueExpired >= 1500, name)
+      if (e.isInstanceOf[RapqEngine]) assert(e.dueRefiled > 150, "refreshed nodes are filed again")
+      e.forceExpiry(7000)
+      assertExact(e, 7000, "after the stream")
+    }
+  }
+
+  test("odd clocks: a 2^40 gap, a repeated forceExpiry and one that goes back") {
+    for (e <- bothEngines("(a b)+ a?", WindowSpec(15, 1))) {
+      val rnd = new scala.util.Random(41)
+      val gap = 1L << 40
+      val stream = (1L to 60L).map { i =>
+        Sgt(if (i <= 30) i else gap + i, rnd.nextInt(6).toLong, rnd.nextInt(6).toLong,
+            if (rnd.nextBoolean()) "a" else "b")
+      }
+      stream.foreach { t =>
+        e.processTuple(t)
+        e.forceExpiry(t.ts)
+        assertExact(e, t.ts, s"at ${t.ts}")
+        e.forceExpiry(t.ts)
+        assertExact(e, t.ts, s"at ${t.ts}, again")
+        e.forceExpiry(t.ts - 3)
+        assertExact(e, t.ts - 3, s"at ${t.ts - 3}, after ${t.ts}")
+      }
+      assert(e.due.firstBucket > gap, "the gap popped every older bucket")
+    }
+  }
+
+  test("expiry state stays within the window over 20 windows with deletions") {
+    val w = WindowSpec(100, 10)
+    for (e <- bothEngines("a b*", w)) {
+      val name = e.getClass.getSimpleName
+      val rnd = new scala.util.Random(43)
+      val clock = new SlideClock(w.slide)
+      val live = scala.collection.mutable.ArrayBuffer.empty[Sgt]
+      (1L to 2000L).foreach { ts =>
+        val t =
+          if (ts % 7 == 0 && live.nonEmpty) live.remove(rnd.nextInt(live.size)).copy(ts = ts, op = Op.Delete)
+          else {
+            val t = Sgt(ts, rnd.nextInt(12).toLong, rnd.nextInt(12).toLong, if (rnd.nextBoolean()) "a" else "b")
+            live += t
+            t
+          }
+        val slide = clock.tick(ts)
+        e.processTuple(t)
+        if (slide) {
+          live.filterInPlace(_.ts > w.lowerBound(ts))
+          val filed = e.due.nodes.toSeq
+          assert(filed.size == e.due.size, s"$name at $ts")
+          assert(filed.distinct.size == filed.size, s"$name at $ts: a node is filed twice")
+          assert(filed.count(_.tree != null) == e.numNodes - e.numTrees, s"$name at $ts: a node is not filed")
+          assert(e.due.firstBucket >= Math.floorDiv(w.lowerBound(ts), w.slide), s"$name at $ts")
+        }
+      }
+      e.forceExpiry(2000 + w.size)
+      assert(e.numNodes == 0 && e.due.size == 0 && e.due.numBuckets == 0, name)
     }
   }
 }

@@ -177,6 +177,22 @@ class RspqEngineSpec extends AnyFunSuite {
     assert(e.currentResults(21).filter(_._1 == 100L) == Set((100L, 101L)))
   }
 
+  test("a reconnection that blows the budget leaves later trees due at the next slide") {
+    // tree 1 pops first: re-attaching (2, s1) through 1 -a-> 3 -b-> 2 pushes
+    // vertex 2's six b-edges and blows the budget of 3 before tree 50 expires
+    val e = new RspqEngine(Dfa.fromPattern("a b*"), WindowSpec(10, 1000), stepBudgetPerTuple = 3)
+    e.processTuple(Sgt(1, 1, 2, "a"))
+    e.processTuple(Sgt(2, 50, 51, "a"))
+    (3 to 8).foreach(i => e.processTuple(Sgt(i.toLong, 2, i + 7L, "b")))
+    e.processTuple(Sgt(11, 1, 3, "a"))
+    e.processTuple(Sgt(12, 3, 2, "b"))
+    intercept[RspqBudgetExceeded](e.forceExpiry(12))
+    assert(e.treeNodeCounts(50).keySet == Set((50L, 0), (51L, 1)), "tree 50 is not expired yet")
+    e.forceExpiry(13)
+    assert(e.treeNodeCounts(50).isEmpty)
+    assert(e.due.nodes.count(_.tree != null) == e.numNodes - e.numTrees, "every node is filed")
+  }
+
   test("explicit deletions under simple path semantics match brute force") {
     val dfa = Dfa.fromPattern("(a b)+")
     val w = WindowSpec(60, 15)

@@ -4,6 +4,20 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class SnapshotGraphSpec extends AnyFunSuite {
 
+  /** `(dst, label, ts)` of the valid out-edges of `v`, via `foreachOut`. */
+  private def outs(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] = {
+    val b = Seq.newBuilder[(Long, String, Long)]
+    g.foreachOut(v, minTs)((dst, label, ts) => b += ((dst, label, ts)))
+    b.result()
+  }
+
+  /** `(src, label, ts)` of the valid in-edges of `v`, via `foreachIn`. */
+  private def ins(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] = {
+    val b = Seq.newBuilder[(Long, String, Long)]
+    g.foreachIn(v, minTs)((src, label, ts) => b += ((src, label, ts)))
+    b.result()
+  }
+
   test("add returns true for new edges, false for refreshes") {
     val g = new SnapshotGraph
     assert(g.add(1, 2, "a", 10))
@@ -31,16 +45,16 @@ class SnapshotGraphSpec extends AnyFunSuite {
     val g = new SnapshotGraph
     g.add(1, 2, "a", 10)
     g.add(1, 3, "b", 20)
-    assert(g.outEdges(1, 10).map(_.dst).toSet == Set(3L))
-    assert(g.outEdges(1, 9).map(_.dst).toSet == Set(2L, 3L))
-    assert(g.outEdges(1, 20).isEmpty)
+    assert(outs(g, 1, 10).map(_._1).toSet == Set(3L))
+    assert(outs(g, 1, 9).map(_._1).toSet == Set(2L, 3L))
+    assert(outs(g, 1, 20).isEmpty)
   }
 
   test("inEdges mirrors outEdges") {
     val g = new SnapshotGraph
     g.add(1, 3, "a", 10); g.add(2, 3, "b", 20)
-    assert(g.inEdges(3, 0).map(e => (e.src, e.label)).toSet == Set((1L, "a"), (2L, "b")))
-    assert(g.inEdges(3, 15).map(_.src).toSet == Set(2L))
+    assert(ins(g, 3, 0).map(e => (e._1, e._2)).toSet == Set((1L, "a"), (2L, "b")))
+    assert(ins(g, 3, 15).map(_._1).toSet == Set(2L))
   }
 
   test("remove deletes the logical edge from both adjacency maps") {
@@ -48,8 +62,8 @@ class SnapshotGraphSpec extends AnyFunSuite {
     g.add(1, 2, "a", 10)
     assert(g.remove(1, 2, "a"))
     assert(!g.remove(1, 2, "a"))
-    assert(g.outEdges(1, 0).isEmpty)
-    assert(g.inEdges(2, 0).isEmpty)
+    assert(outs(g, 1, 0).isEmpty)
+    assert(ins(g, 2, 0).isEmpty)
     assert(g.numEdges == 0)
   }
 
@@ -59,7 +73,7 @@ class SnapshotGraphSpec extends AnyFunSuite {
     assert(g.pruneExpired(20) == 2)
     assert(g.numEdges == 1)
     assert(g.edges.map(_.ts).toSet == Set(30L))
-    assert(g.inEdges(3, 0).isEmpty) // in-adjacency pruned too
+    assert(ins(g, 3, 0).isEmpty) // in-adjacency pruned too
   }
 
   test("prune then re-add works") {
@@ -83,6 +97,34 @@ class SnapshotGraphSpec extends AnyFunSuite {
     g.add(1, 2, "a", 1); g.add(1, 2, "b", 2); g.add(5, 6, "a", 3)
     assert(g.edges.map(e => (e.src, e.dst, e.label)).toSet ==
       Set((1L, 2L, "a"), (1L, 2L, "b"), (5L, 6L, "a")))
+  }
+
+  test("the arrival queue holds exactly the arrivals the last prune left in the window") {
+    // 20 windows of one tuple per time unit, with re-arrivals (12 vertices)
+    // and deletions of window edges, pruned at the engines' slide boundaries
+    val w = WindowSpec(100, 10)
+    val g = new SnapshotGraph
+    val clock = new SlideClock(w.slide)
+    val rnd = new scala.util.Random(47)
+    var minTs = Long.MinValue
+    (1L to 2000L).foreach { ts =>
+      if (clock.tick(ts)) { minTs = w.lowerBound(ts); g.pruneExpired(minTs) }
+      val (u, v) = (rnd.nextInt(12).toLong, rnd.nextInt(12).toLong)
+      if (ts % 7 == 0) g.remove(u, v, "a") else g.add(u, v, "a", ts)
+      val arrivals = (1L to ts).count(t => t % 7 != 0 && t > minTs)
+      assert(g.queuedArrivals == arrivals, s"at $ts")
+      assert(g.edges.forall(_.ts > minTs), s"at $ts")
+    }
+  }
+
+  test("an older arrival of a new edge is still pruned on time") {
+    val g = new SnapshotGraph
+    g.add(1, 2, "a", 30)
+    g.add(3, 4, "a", 5)
+    g.add(1, 2, "a", 20) // older than the stored 30: nothing to expire later
+    assert(g.queuedArrivals == 2)
+    assert(g.pruneExpired(10) == 1)
+    assert(g.edges.map(e => (e.src, e.ts)).toSet == Set((1L, 30L)))
   }
 
   test("WindowSpec lower bound") {
