@@ -10,6 +10,10 @@ import scala.collection.mutable
   *   transition means the word can never be completed to a match, and the
   *   engines simply stop traversal.
   * - states are `0 until k` with `start == 0`.
+  * - the sorted alphabet gives label ids `0 until m`, which index a flat
+  *   transition table ([[step]]) for the engines' per-edge walks; the
+  *   `String`-keyed [[delta]] and [[byLabel]] serve the oracles, Spark and
+  *   the engines' once-per-tuple seeding.
   */
 final case class Dfa(
     start: Int,
@@ -20,7 +24,23 @@ final case class Dfa(
   /** Number of automaton states, the `k` of the paper's complexity bounds. */
   def k: Int = trans.length
 
-  def isFinal(s: Int): Boolean = finals.contains(s)
+  /** The alphabet in sorted order: label id `l` names `labels(l)`. */
+  val labels: IndexedSeq[String] = alphabet.toVector.sorted
+
+  /** Number of labels, the width of the transition table. */
+  val m: Int = labels.length
+
+  // next(s * m + l) = δ(s, labels(l)), or -1 where δ is undefined
+  private val next: Array[Int] =
+    Array.tabulate(k * m)(i => trans(i / m).getOrElse(labels(i % m), -1))
+  private val finalStates: Array[Boolean] = Array.tabulate(k)(finals.contains)
+
+  def isFinal(s: Int): Boolean = finalStates(s)
+
+  /** δ(s, labels(l)) for a label id `l ≥ 0`, or −1 where δ is undefined; an
+    * id `≥ m` lies outside the alphabet and has no transition.
+    */
+  def step(s: Int, l: Int): Int = if (l < m) next(s * m + l) else -1
 
   /** Partial transition function δ(s, label). */
   def delta(s: Int, label: String): Option[Int] = trans(s).get(label)

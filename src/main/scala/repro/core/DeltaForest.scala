@@ -24,6 +24,8 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * an arriving edge seeds extension frames, expiry re-seeds a lost pair from
   * valid in-edges ([[reopen]]), and each engine's `drain` applies its own
   * rule to the frames, kept on one stack that every traversal reuses.
+  * The graph interns the DFA's labels first, so an edge's label id indexes
+  * the DFA's transition table ([[Dfa.step]]) directly.
   *
   * Node keys are `v · k + s` for `k` DFA states; `processTuple` and
   * `deleteEdge` reject vertex ids for which that overflows.
@@ -35,6 +37,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   protected type T <: Tree
 
   val graph = new SnapshotGraph
+  dfa.labels.foreach(graph.labelId) // graph label id l is dfa.labels(l) for l < dfa.m
 
   /** Cumulative distinct results (populated when `collectResults`). */
   val results = mutable.LinkedHashSet.empty[(Long, Long)]
@@ -46,7 +49,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   var expiryNanos: Long = 0L
   var expiryRuns: Long  = 0L
 
-  protected final val trees = mutable.LongMap.empty[T]
+  protected[core] final val trees = mutable.LongMap.empty[T]
   private[core] val due = new DueIndex(window.slide)
   // Cumulative slide pop counts: every popped node is expired, filed again,
   // or dropped because it already left its tree.
@@ -215,16 +218,27 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   /** Push a frame to `(v, t)` from every valid node with a window edge into
     * `v` that the DFA takes to `t`.
     */
-  protected final def reopen(tree: T, v: Long, t: Int, minTs: Long): Unit =
-    graph.foreachIn(v, minTs) { (src, label, ets) =>
-      dfa.byLabel.getOrElse(label, Nil).foreach { case (q, t2) =>
-        if (t2 == t) {
-          tree.nodesFor(key(src, q)).foreach { m =>
-            if (m.ts > minTs) frames.push(Frame(m, v, t, ets))
+  protected final def reopen(tree: T, v: Long, t: Int, minTs: Long): Unit = {
+    val in = graph.inOf(v)
+    var i = 0
+    while (i < in.size) {
+      val ets = in.ts(i)
+      if (ets > minTs) {
+        val src = in.other(i)
+        val l = in.label(i)
+        var q = 0
+        while (q < k) {
+          if (dfa.step(q, l) == t) {
+            tree.nodesFor(key(src, q)).foreach { m =>
+              if (m.ts > minTs) frames.push(Frame(m, v, t, ets))
+            }
           }
+          q += 1
         }
       }
+      i += 1
     }
+  }
 
   // ------------------------------------------------------------------ expiry
 
@@ -307,7 +321,8 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     while (stack.nonEmpty) {
       val n = stack.pop()
       n.ts = Long.MinValue
-      n.foreachChild(c => stack.push(c))
+      var c = n.firstChild
+      while (c != null) { stack.push(c); c = c.nextSib }
     }
   }
 
@@ -348,21 +363,36 @@ object DeltaForest {
   private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
 
   /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
-    * intrusive child list (needed by Delete's subtree marking). `tree` is the
-    * tree holding it, `null` once it has left; `nextDue` links it into its
-    * [[DueIndex]] bucket.
+    * intrusive doubly linked child list (`firstChild`, then `nextSib`; needed
+    * by Delete's subtree marking), so linking and unlinking a child are O(1).
+    * `tree` is the tree holding it, `null` once it has left; `nextDue` links
+    * it into its [[DueIndex]] bucket.
     */
   private[core] final class Node(val v: Long, val s: Int, var parent: Node, var ts: Long) {
     private[core] var tree: Tree = null
     private[core] var nextDue: Node = null
-    private var children: mutable.HashSet[Node] = null
+    private[core] var firstChild: Node = null
+    private[core] var nextSib: Node = null
+    private var prevSib: Node = null
 
     def addChild(c: Node): Unit = {
-      if (children == null) children = mutable.HashSet.empty
-      children += c
+      c.prevSib = null
+      c.nextSib = firstChild
+      if (firstChild != null) firstChild.prevSib = c
+      firstChild = c
     }
-    def removeChild(c: Node): Unit = if (children != null) children -= c
-    def foreachChild(f: Node => Unit): Unit = if (children != null) children.foreach(f)
+
+    /** Unlink `c`, which must be a child of this node. */
+    def removeChild(c: Node): Unit = {
+      if (c.prevSib != null) c.prevSib.nextSib = c.nextSib else firstChild = c.nextSib
+      if (c.nextSib != null) c.nextSib.prevSib = c.prevSib
+      c.prevSib = null
+      c.nextSib = null
+    }
+
+    /** The child list, newest first, for structural checks. */
+    private[core] def children: List[Node] =
+      Iterator.iterate(firstChild)(_.nextSib).takeWhile(_ != null).toList
 
     def reparent(newParent: Node): Unit = {
       if (parent != null) parent.removeChild(this)

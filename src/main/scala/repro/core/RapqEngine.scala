@@ -67,12 +67,18 @@ final class RapqEngine(
                 existing
               } else null
             if (node != null) {
-              graph.foreachOut(v, minTs) { (dst, label, ets) =>
-                dfa.delta(t, label).foreach { q =>
+              val out = graph.outOf(v)
+              var i = 0
+              while (i < out.size) {
+                val ets = out.ts(i)
+                val q = dfa.step(t, out.label(i))
+                if (ets > minTs && q >= 0) {
+                  val dst = out.other(i)
                   val ex = tree.nodes.getOrNull(key(dst, q))
                   if (ex == null || ex.ts < math.min(node.ts, ets))
                     frames.push(Frame(node, dst, q, ets))
                 }
+                i += 1
               }
             }
           }

@@ -95,10 +95,13 @@ final class RspqEngine(
                 addNode(tree, node)
                 if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
                 if (wasAbsent) tree.markings += key(v, t)
-                graph.foreachOut(v, minTs) { (dst, label, ets) =>
-                  dfa.delta(t, label).foreach { r =>
-                    frames.push(Frame(node, dst, r, ets))
-                  }
+                val out = graph.outOf(v)
+                var i = 0
+                while (i < out.size) {
+                  val ets = out.ts(i)
+                  val r = dfa.step(t, out.label(i))
+                  if (ets > minTs && r >= 0) frames.push(Frame(node, out.other(i), r, ets))
+                  i += 1
                 }
               }
             }

@@ -104,6 +104,17 @@ class NfaDfaSpec extends AnyFunSuite {
     }
     assert(dfa.byLabel.map { case (l, ps) => l -> ps.toSet } == fromRows)
   }
+  test("the flat transition table and final-state array agree with delta and finals") {
+    GMarkPatterns.all.foreach { p =>
+      val dfa = Dfa.fromPattern(p)
+      assert(dfa.labels == dfa.alphabet.toSeq.sorted && dfa.m == dfa.alphabet.size, p)
+      for (s <- 0 until dfa.k) {
+        assert(dfa.isFinal(s) == dfa.finals.contains(s), p)
+        for (l <- 0 until dfa.m) assert(dfa.step(s, l) == dfa.delta(s, dfa.labels(l)).getOrElse(-1), p)
+        assert(dfa.step(s, dfa.m) == -1, s"$p: an id past the alphabet has no transition")
+      }
+    }
+  }
   test("acceptsEmpty iff regex is nullable") {
     Seq("a*", "a?", "a+ b?", "a b*", "(a b)*").foreach { p =>
       assert(Dfa.fromPattern(p).acceptsEmpty == Regex.parse(p).nullable, p)

@@ -1,22 +1,27 @@
 package repro.stream
 
+import scala.collection.mutable
+
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class SnapshotGraphSpec extends AnyFunSuite {
+  import SnapshotGraphSpec.Step
 
-  /** `(dst, label, ts)` of the valid out-edges of `v`, via `foreachOut`. */
-  private def outs(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] = {
-    val b = Seq.newBuilder[(Long, String, Long)]
-    g.foreachOut(v, minTs)((dst, label, ts) => b += ((dst, label, ts)))
-    b.result()
-  }
+  /** `(other, label, ts)` of the entries of one vertex record whose
+    * timestamp is strictly greater than `minTs`, in record order.
+    */
+  private def valid(g: SnapshotGraph, r: SnapshotGraph.Adjacency, minTs: Long): Seq[(Long, String, Long)] =
+    (0 until r.size).filter(i => r.ts(i) > minTs).map(i => (r.other(i), g.labelName(r.label(i)), r.ts(i)))
 
-  /** `(src, label, ts)` of the valid in-edges of `v`, via `foreachIn`. */
-  private def ins(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] = {
-    val b = Seq.newBuilder[(Long, String, Long)]
-    g.foreachIn(v, minTs)((src, label, ts) => b += ((src, label, ts)))
-    b.result()
-  }
+  /** `(dst, label, ts)` of the valid out-edges of `v`, via `outOf`. */
+  private def outs(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] =
+    valid(g, g.outOf(v), minTs)
+
+  /** `(src, label, ts)` of the valid in-edges of `v`, via `inOf`. */
+  private def ins(g: SnapshotGraph, v: Long, minTs: Long): Seq[(Long, String, Long)] =
+    valid(g, g.inOf(v), minTs)
 
   test("add returns true for new edges, false for refreshes") {
     val g = new SnapshotGraph
@@ -127,6 +132,76 @@ class SnapshotGraphSpec extends AnyFunSuite {
     assert(g.edges.map(e => (e.src, e.ts)).toSet == Set((1L, 30L)))
   }
 
+  test("vertex records are bounded by the window, not by the stream") {
+    // a chain through ever new vertices, pruned at every slide: a vertex whose
+    // edges all expired keeps no record
+    val w = WindowSpec(100, 10)
+    val g = new SnapshotGraph
+    val clock = new SlideClock(w.slide)
+    (1L to 100000L).foreach { ts =>
+      if (clock.tick(ts)) g.pruneExpired(w.lowerBound(ts))
+      g.add(ts, ts + 1, "a", ts)
+      assert(g.vertexRecords <= 2 * g.numEdges, s"at $ts")
+    }
+  }
+
+  private val genStep: Gen[Step] = for {
+    kind <- Gen.choose(0, 9)
+    src <- Gen.choose(0L, 5L)
+    dst <- Gen.choose(0L, 5L)
+    label <- Gen.oneOf("a", "b", "c")
+    dt <- Gen.choose(0L, 4L)
+  } yield Step(kind, src, dst, label, dt)
+
+  test("property: the window graph agrees with a first-arrival-ordered reference model") {
+    // adds at the clock (refreshes when the edge is stored), older arrivals,
+    // removals of present, absent and never-seen-label edges, and prunes
+    (0 until 40).foreach { run =>
+      val steps = Gen.listOfN(250, genStep).pureApply(Gen.Parameters.default, Seed(run.toLong))
+      val g = new SnapshotGraph
+      val model = mutable.LinkedHashMap.empty[(Long, Long, String), Long]
+      val queued = mutable.ArrayBuffer.empty[Long] // timestamps of queued arrivals
+      val added = mutable.Set.empty[String] // labels passed to add
+      var now = 100L
+      def set(key: (Long, Long, String), ts: Long): Unit = { model(key) = ts; queued += ts }
+      steps.zipWithIndex.foreach { case (st, i) =>
+        val key = (st.src, st.dst, st.label)
+        val at = s"run $run, step $i: $st"
+        st.kind match {
+          case k if k <= 6 =>
+            val ts = if (k == 6) now - 10 * st.dt else { now += st.dt; now }
+            val isNew = !model.contains(key)
+            if (isNew || ts > model(key)) set(key, ts)
+            assert(g.add(st.src, st.dst, st.label, ts) == isNew, at)
+            added += st.label
+          case 7 =>
+            assert(g.remove(st.src, st.dst, st.label) == model.remove(key).isDefined, at)
+          case 8 =>
+            assert(!g.remove(st.src, st.dst, "never-seen"), at)
+            assert(g.timestamp(st.src, st.dst, "never-seen").isEmpty, at)
+          case _ =>
+            val minTs = now - 20
+            val due = model.collect { case (e, ts) if ts <= minTs => e }
+            model --= due
+            queued.filterInPlace(_ > minTs)
+            assert(g.pruneExpired(minTs) == due.size, at)
+        }
+        assert(g.numEdges == model.size, at)
+        assert(g.queuedArrivals == queued.size, at)
+        assert(g.edges.map(e => ((e.src, e.dst, e.label), e.ts)).toMap == model.toMap, at)
+        assert(g.timestamp(st.src, st.dst, st.label) == model.get(key), at)
+        (0L to 5L).foreach { v =>
+          val outModel = model.toSeq.collect { case ((`v`, d, l), ts) => (d, l, ts) }
+          val inModel = model.toSeq.collect { case ((s, `v`, l), ts) => (s, l, ts) }
+          assert(outs(g, v, Long.MinValue) == outModel, s"$at: out-list of $v")
+          assert(ins(g, v, Long.MinValue) == inModel, s"$at: in-list of $v")
+        }
+      }
+      // the never-seen label was not interned: it takes the next free id
+      assert(g.labelId("never-seen") == added.size, s"run $run")
+    }
+  }
+
   test("WindowSpec lower bound") {
     val w = WindowSpec(size = 15, slide = 3)
     assert(w.lowerBound(18) == 3)
@@ -137,4 +212,9 @@ class SnapshotGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](WindowSpec(0, 1))
     intercept[IllegalArgumentException](WindowSpec(10, 0))
   }
+}
+
+object SnapshotGraphSpec {
+  /** One step of a differential run; `dt` moves the test's clock. */
+  private final case class Step(kind: Int, src: Long, dst: Long, label: String, dt: Long)
 }

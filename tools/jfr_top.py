@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Top frames of JDK Flight Recorder CPU samples.
+
+Usage:
+
+    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] a.jfr [b.jfr ...]
+
+Reads the `jdk.ExecutionSample` events of every file (through the JDK's `jfr`
+tool) and pools them. Prints each frame's share of all samples as self time
+(the sample's top frame) and as inclusive time (the frame is anywhere in the
+sample's stack, counted once per sample). With `--callers TEXT`, it also
+prints, for the samples whose stack holds a frame whose label contains TEXT,
+the share of each caller of the topmost such frame. A frame's label is
+`Class.method`, with the class name stripped of its package.
+"""
+
+import argparse
+import collections
+import json
+import subprocess
+import sys
+
+
+def label(frame):
+    method = frame["method"]
+    cls = method["type"]["name"].replace("/", ".").rsplit(".", 1)[-1]
+    return f"{cls}.{method['name']}"
+
+
+def stacks(path, depth):
+    """Stacks of the file's execution samples, top frame first."""
+    out = subprocess.run(
+        ["jfr", "print", "--json", "--events", "jdk.ExecutionSample", "--stack-depth", str(depth), path],
+        check=True, capture_output=True, text=True).stdout
+    for event in json.loads(out)["recording"]["events"]:
+        trace = event["values"].get("stackTrace")
+        if trace and trace["frames"]:
+            yield [label(f) for f in trace["frames"]]
+
+
+def table(title, counts, total, top):
+    print(f"{title}:")
+    for name, n in counts.most_common(top):
+        print(f"  {100.0 * n / total:5.1f}%  {n:6d}  {name}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("files", nargs="+", help="JFR recordings")
+    ap.add_argument("--top", type=int, default=15, help="rows per table")
+    ap.add_argument("--depth", type=int, default=64, help="stack frames read per sample")
+    ap.add_argument("--callers", metavar="TEXT", help="also list the callers of frames containing TEXT")
+    args = ap.parse_args()
+
+    self_counts, incl_counts, callers = (collections.Counter() for _ in range(3))
+    total = matched = 0
+    for path in args.files:
+        for stack in stacks(path, args.depth):
+            total += 1
+            self_counts[stack[0]] += 1
+            incl_counts.update(set(stack))
+            if args.callers:
+                i = next((i for i, name in enumerate(stack) if args.callers in name), None)
+                if i is not None:
+                    matched += 1
+                    callers[stack[i + 1] if i + 1 < len(stack) else "(stack root)"] += 1
+    if total == 0:
+        sys.exit("jfr_top: no jdk.ExecutionSample events")
+    print(f"{total} samples from {len(args.files)} file(s)")
+    table("self", self_counts, total, args.top)
+    table("inclusive", incl_counts, total, args.top)
+    if args.callers:
+        print(f"frames containing {args.callers!r}: {matched} samples ({100.0 * matched / total:.1f}%)")
+        if matched:
+            table("their callers, as shares of all samples", callers, total, args.top)
+
+
+if __name__ == "__main__":
+    main()
