@@ -5,13 +5,15 @@ import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
 
 import repro.automaton.Dfa
+import repro.core.RapqEngine
 import repro.data.StreamGen
 import repro.spark.StructuredStreamingRpq
 import repro.stream.WindowSpec
 
-/** Persistent RPQ evaluation as a Structured Streaming job: generates a
-  * synthetic LDBC-like sgt stream, feeds it in micro-batches through the
-  * incremental DataFrame maintainer, and prints the append-only result log.
+/** Persistent RPQ evaluation as a Structured Streaming job: feeds a synthetic
+  * LDBC-like sgt stream in micro-batches to a [[RapqEngine]] on the driver,
+  * printing per batch the tuples fed, the `foreachBatch` wall time, the new
+  * log entries and the engine's emissions, trees, nodes and expiry runs.
   *
   * Usage: `StreamingRpqJob [pattern] [nEdges] [batchSize]`
   * (default: `likes replyOf*` over 2000 edges in batches of 200).
@@ -30,17 +32,21 @@ object StreamingRpqJob {
 
     val dir = Files.createTempDirectory("rpq-stream")
     val window = WindowSpec(size = nEdges / 4, slide = math.max(1, nEdges / 40))
-    val job = new StructuredStreamingRpq(spark, Dfa.fromPattern(pattern), window, dir)
+    val engine = new RapqEngine(Dfa.fromPattern(pattern), window, collectResults = false)
+    val job = new StructuredStreamingRpq(spark, engine, dir)
     job.start()
 
     val stream = StreamGen.ldbcLike(nPersons = 500, nEdges = nEdges)
     stream.grouped(batchSize).zipWithIndex.foreach { case (batch, i) =>
+      val logged = job.output.size
       job.feed(batch, i)
       job.processAllAvailable()
-      println(s"batch $i: ${batch.size} sgts -> ${job.output.size} results so far")
+      println(f"batch $i: ${batch.size} sgts in ${job.lastBatchNanos / 1e6}%.1f ms, " +
+        s"${job.output.size - logged} new log entries; emissions ${engine.emissionCount}, " +
+        s"trees ${engine.numTrees}, nodes ${engine.numNodes}, expiry runs ${engine.expiryRuns}")
     }
     job.stop()
-    println(s"final result-log size: ${job.output.size}")
+    println(s"final result-log size: ${job.output.size}, window results: ${job.currentResults().size}")
     spark.stop()
   }
 }

@@ -9,9 +9,8 @@ import repro.automaton.Dfa
   * a semi-naive fixpoint over the product graph `P_{G,A}` expressed purely
   * with DataFrame joins/unions/distinct.
   *
-  * Used (a) as the distributed analogue of the paper's batch algorithm, (b)
-  * as the re-evaluation engine of the Virtuoso-emulation baseline at Spark
-  * scale, and (c) as the target of the DuckDB `WITH RECURSIVE` oracle — see
+  * Used (a) as the distributed analogue of the paper's batch algorithm and
+  * (b) as the target of the DuckDB `WITH RECURSIVE` oracle — see
   * [[SparkBatchRpq.oracleSql]].
   *
   * Result convention matches [[repro.batch.BatchRpq]]: pairs `(x, v)` with an
@@ -25,7 +24,7 @@ object SparkBatchRpq {
     * `UnionBase.rewriteConstraints`); semi-naive loops hit exactly that
     * shape, so we disable it for the duration of a fixpoint.
     */
-  private[spark] def withoutConstraintPropagation[A](spark: SparkSession)(body: => A): A = {
+  private def withoutConstraintPropagation[A](spark: SparkSession)(body: => A): A = {
     val key = "spark.sql.constraintPropagation.enabled"
     val old = spark.conf.getOption(key)
     spark.conf.set(key, "false")
@@ -80,7 +79,7 @@ object SparkBatchRpq {
   /** Distinct result pairs `(x, v)` of the reached product nodes `(x, v, s)`:
     * `s` is final, and the empty path, `v = x` with `s = s0`, is left out.
     */
-  private[spark] def accepting(reached: DataFrame, dfa: Dfa): DataFrame =
+  private def accepting(reached: DataFrame, dfa: Dfa): DataFrame =
     reached
       .where(col("s").isInCollection(dfa.finals.toSeq))
       .where(!(col("v") === col("x") && col("s") === dfa.start))

@@ -8,37 +8,38 @@ import org.apache.spark.sql.types._
 import org.json4s.JsonDSL._
 import org.json4s.jackson.JsonMethods.{compact, render}
 
-import repro.automaton.Dfa
-import repro.stream.{Op, Sgt, WindowSpec}
+import repro.core.DeltaForest
+import repro.stream.{Op, Sgt}
 
-/** Persistent RPQ evaluation as a Structured Streaming job (the repro-band
-  * deployment shape): a file-source stream of sgts is consumed micro-batch by
-  * micro-batch through `foreachBatch`, each batch feeding the incremental
-  * maintainer [[SparkIncrementalRpq]]; newly discovered result pairs are
-  * appended to the in-memory output log (the paper's append-only result
-  * stream under implicit window semantics).
-  *
-  * The source directory is watched for JSON part files, so a driver (job or
-  * test) "streams" by dropping files in — pure public Spark API, no reliance
-  * on internals.
+/** Persistent RPQ evaluation as a Structured Streaming job: Spark ingests a
+  * directory of JSON part files and cuts it into micro-batches, and the
+  * paper's engine, a [[repro.core.RapqEngine]] or [[repro.core.RspqEngine]],
+  * runs on the driver. Each batch is fed to the engine in stream order and
+  * closed by an expiry pass at its highest timestamp; the pairs that became
+  * valid in it are appended to the output log (the paper's append-only result
+  * stream under implicit window semantics). A tuple the engine rejects (an
+  * out-of-order timestamp, a blown RSPQ budget) fails the query, and its batch
+  * logs nothing. Only the query's thread touches the engine while it runs.
   */
-final class StructuredStreamingRpq(
-    spark: SparkSession,
-    dfa: Dfa,
-    window: WindowSpec,
-    sourceDir: Path,
-) {
-  private val maintainer = new SparkIncrementalRpq(spark, dfa, window)
+final class StructuredStreamingRpq(spark: SparkSession, engine: DeltaForest, sourceDir: Path) {
 
   /** Append-only output log of result pairs, in arrival order. */
   val output = new java.util.concurrent.ConcurrentLinkedQueue[(Long, Long)]()
 
+  /** Wall time of the last non-empty batch's `foreachBatch` body, in ns. */
+  @volatile var lastBatchNanos: Long = 0L
+
+  // The file source does not keep row order, so each line carries its
+  // position in the stream; same-timestamp inserts and deletes depend on it.
   private val schema = StructType(Seq(
-    StructField("ts", LongType), StructField("src", LongType),
-    StructField("dst", LongType), StructField("label", StringType),
+    StructField("seq", LongType), StructField("ts", LongType),
+    StructField("src", LongType), StructField("dst", LongType),
+    StructField("label", StringType), StructField("op", StringType),
   ))
 
   private var query: StreamingQuery = null
+  private var nextSeq = 0L
+  @volatile private var results = Set.empty[(Long, Long)]
 
   /** Start the streaming query (processing-time trigger). */
   def start(): StreamingQuery = {
@@ -47,24 +48,34 @@ final class StructuredStreamingRpq(
       .trigger(Trigger.ProcessingTime("200 milliseconds"))
       .outputMode("update")
       .foreachBatch { (batch: DataFrame, _: Long) =>
-        val fresh = maintainer.processBatch(batch.select("src", "dst", "label", "ts"))
-        fresh.collect().foreach(r => output.add((r.getLong(0), r.getLong(1))))
-        ()
+        val t0 = System.nanoTime()
+        val sgts = batch.select("seq", "ts", "src", "dst", "label", "op").collect()
+          .sortBy(_.getLong(0))
+          .map(r => Sgt(r.getLong(1), r.getLong(2), r.getLong(3), r.getString(4),
+                        if (r.getString(5) == "-") Op.Delete else Op.Insert))
+        if (sgts.nonEmpty) {
+          sgts.foreach(engine.processTuple)
+          val maxTs = sgts.last.ts
+          engine.forceExpiry(maxTs)
+          val now = engine.currentResults(maxTs)
+          (now -- results).toSeq.sorted.foreach(output.add)
+          results = now
+          lastBatchNanos = System.nanoTime() - t0
+        }
       }
       .start()
     query
   }
 
-  /** Write one micro-batch of sgts as a JSON part file into the source dir.
-    * Throws an `IllegalArgumentException`, writing nothing, if the batch holds
-    * an explicit deletion: [[SparkIncrementalRpq]] does not support them.
-    */
+  /** Write one micro-batch of sgts as a JSON part file into the source dir. */
   def feed(sgts: Seq[Sgt], batchId: Int): Unit = {
-    require(!sgts.exists(_.op == Op.Delete), "StructuredStreamingRpq does not support explicit deletions")
     val json = sgts.map { t =>
-      compact(render(("ts" -> t.ts) ~ ("src" -> t.src) ~ ("dst" -> t.dst) ~ ("label" -> t.label)))
+      nextSeq += 1
+      compact(render(("seq" -> nextSeq) ~ ("ts" -> t.ts) ~ ("src" -> t.src) ~ ("dst" -> t.dst) ~
+        ("label" -> t.label) ~ ("op" -> (if (t.op == Op.Delete) "-" else "+"))))
     }.mkString("\n")
-    val tmp = Files.createTempFile(sourceDir, "batch", ".json.tmp")
+    // hidden while written: the file source skips names starting with `.`
+    val tmp = Files.createTempFile(sourceDir, ".batch", ".tmp")
     Files.writeString(tmp, json)
     Files.move(tmp, sourceDir.resolve(f"batch-$batchId%05d.json"))
   }
@@ -74,6 +85,6 @@ final class StructuredStreamingRpq(
 
   def stop(): Unit = if (query != null) query.stop()
 
-  /** Current explicit-window results from the maintainer, for assertions. */
-  def currentResults(): DataFrame = maintainer.currentResults()
+  /** The window's result pairs as of the last batch's highest timestamp. */
+  def currentResults(): Set[(Long, Long)] = results
 }

@@ -3,41 +3,20 @@ package repro.integration
 import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
-import repro.automaton.Dfa
 import repro.core.RapqEngine
 import repro.data.{Queries, StreamGen}
 import repro.harness.Runner
-import repro.spark.{SparkBatchRpq, SparkIncrementalRpq}
-import repro.stream.{Sgt, WindowSpec}
+import repro.spark.SparkBatchRpq
+import repro.stream.WindowSpec
 
-/** Cross-layer integration: the single-machine Δ-index engine, the Spark
-  * incremental maintainer and the Spark batch evaluator must agree on the
-  * same synthetic streams the benchmarks use.
+/** Cross-layer integration: the single-machine Δ-index engine and the Spark
+  * batch evaluator must agree on the same synthetic streams the benchmarks
+  * use, and the harness runs every Table 2 query.
   */
 class EndToEndSpec extends SparkSpec {
 
-  private def toDf(sgts: Seq[Sgt]): DataFrame = {
-    import spark.implicits._
-    sgts.map(t => (t.src, t.dst, t.label, t.ts)).toDF("src", "dst", "label", "ts")
-  }
-
   private def pairs(df: DataFrame): Set[(Long, Long)] =
     df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-
-  test("core engine and Spark incremental maintainer agree on an LDBC-like stream") {
-    val dfa = Dfa.fromPattern("likes replyOf*")
-    val stream = StreamGen.ldbcLike(nPersons = 40, nEdges = 300)
-    val window = WindowSpec(size = 100, slide = 25)
-
-    val engine = new RapqEngine(dfa, window)
-    stream.foreach(engine.processTuple)
-    engine.forceExpiry(stream.last.ts)
-
-    val inc = new SparkIncrementalRpq(spark, dfa, window)
-    stream.grouped(75).foreach(b => inc.processBatch(toDf(b)))
-
-    assert(engine.currentResults(stream.last.ts) == pairs(inc.currentResults()))
-  }
 
   test("Spark batch evaluation matches the core engine's window view on SO-like data") {
     val dfa = Queries.so.find(_.name == "Q2").get.dfa
