@@ -1,92 +1,43 @@
 package repro.spark
 
-import scala.util.Random
-
-import org.apache.spark.sql.DataFrame
-
-import repro.SparkSpec
 import repro.automaton.Dfa
 import repro.stream.{Sgt, WindowSpec}
 
-/** The incremental DataFrame maintainer cross-checked, batch after batch,
-  * against from-scratch evaluation on the same window content.
+/** Incremental RPQ maintenance on Spark, as the streaming job does it: the
+  * window content after each batch decides the results, checked on small
+  * hand-built streams.
   */
-class SparkIncrementalRpqSpec extends SparkSpec {
-
-  private def toDf(sgts: Seq[Sgt]): DataFrame = {
-    import spark.implicits._
-    sgts.map(t => (t.src, t.dst, t.label, t.ts)).toDF("src", "dst", "label", "ts")
-  }
-
-  private def pairs(df: DataFrame): Set[(Long, Long)] =
-    df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-
-  private def batchPairs(windowEdges: DataFrame, dfa: Dfa): Set[(Long, Long)] =
-    pairs(SparkBatchRpq.evaluate(windowEdges.select("src", "dst", "label"), dfa))
-
-  private def randomStream(n: Int, nV: Int, labels: Seq[String], seed: Long): Seq[Sgt] = {
-    val rnd = new Random(seed)
-    (1 to n).map(i => Sgt(i.toLong, rnd.nextInt(nV).toLong, rnd.nextInt(nV).toLong,
-                          labels(rnd.nextInt(labels.length))))
-  }
+class SparkIncrementalRpqSpec extends StreamingJobSpec {
 
   test("single batch matches from-scratch evaluation") {
-    val dfa = Dfa.fromPattern("a b")
-    val inc = new SparkIncrementalRpq(spark, dfa, WindowSpec(100, 10))
-    inc.processBatch(toDf(Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b"))))
-    assert(pairs(inc.currentResults()) == Set((1L, 3L)))
-  }
-
-  test("results accumulate across batches through join of old state and new edges") {
-    val dfa = Dfa.fromPattern("a b c")
-    val inc = new SparkIncrementalRpq(spark, dfa, WindowSpec(100, 10))
-    val fresh1 = inc.processBatch(toDf(Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b"))))
-    assert(pairs(fresh1).isEmpty)
-    val fresh2 = inc.processBatch(toDf(Seq(Sgt(3, 3, 4, "c"))))
-    assert(pairs(fresh2) == Set((1L, 4L)))
-  }
-
-  test("window expiry drops results whose freshest witness left the window") {
-    val dfa = Dfa.fromPattern("a b")
-    val inc = new SparkIncrementalRpq(spark, dfa, WindowSpec(10, 5))
-    inc.processBatch(toDf(Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b"))))
-    assert(pairs(inc.currentResults()) == Set((1L, 3L)))
-    inc.processBatch(toDf(Seq(Sgt(20, 7, 8, "a"))))
-    assert(pairs(inc.currentResults()).isEmpty)
-  }
-
-  test("refreshed edges keep results alive past the original expiry") {
-    val dfa = Dfa.fromPattern("a b")
-    val inc = new SparkIncrementalRpq(spark, dfa, WindowSpec(10, 5))
-    inc.processBatch(toDf(Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b"))))
-    inc.processBatch(toDf(Seq(Sgt(8, 1, 2, "a"), Sgt(9, 2, 3, "b"))))
-    inc.processBatch(toDf(Seq(Sgt(12, 5, 6, "a"))))
-    assert(pairs(inc.currentResults()) == Set((1L, 3L)))
-  }
-
-  for ((p, seed) <- Seq(("a b*", 41), ("(a | b | c)+", 42), ("(a b)+", 43))) {
-    test(s"randomized stream in 6 batches matches per-window batch evaluation: $p") {
-      val dfa = Dfa.fromPattern(p)
-      val w = WindowSpec(size = 25, slide = 5)
-      val inc = new SparkIncrementalRpq(spark, dfa, w)
-      val stream = randomStream(72, nV = 8, Seq("a", "b", "c"), seed)
-      stream.grouped(12).foreach { batch =>
-        inc.processBatch(toDf(batch))
-        val expected = batchPairs(inc.currentWindowEdges(), dfa)
-        assert(pairs(inc.currentResults()) == expected,
-          s"[$p] divergence after batch ending at ts=${batch.last.ts}")
-      }
+    val batch = Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b"))
+    import spark.implicits._
+    val edges = batch.map(t => (t.src, t.dst, t.label)).toDF("src", "dst", "label")
+    val expected = SparkBatchRpq.evaluate(edges, Dfa.fromPattern("a b"))
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(expected == Set((1L, 3L)))
+    withJob(rapq("a b", WindowSpec(100, 10))) { job =>
+      assert(step(job, batch, 0) == expected)
+      assert(job.currentResults() == expected)
     }
   }
 
-  test("processBatch returns only the newly discovered pairs") {
-    val dfa = Dfa.fromPattern("a+")
-    val inc = new SparkIncrementalRpq(spark, dfa, WindowSpec(100, 10))
-    val f1 = inc.processBatch(toDf(Seq(Sgt(1, 1, 2, "a"))))
-    assert(pairs(f1) == Set((1L, 2L)))
-    val f2 = inc.processBatch(toDf(Seq(Sgt(2, 2, 3, "a"))))
-    assert(pairs(f2) == Set((1L, 3L), (2L, 3L)))
-    val f3 = inc.processBatch(toDf(Seq(Sgt(3, 2, 3, "a")))) // duplicate edge
-    assert(pairs(f3).isEmpty)
+  test("window expiry drops results whose freshest witness left the window") {
+    withJob(rapq("a b", WindowSpec(10, 5))) { job =>
+      step(job, Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b")), 0)
+      assert(job.currentResults() == Set((1L, 3L)))
+      step(job, Seq(Sgt(20, 7, 8, "a")), 1)
+      assert(job.currentResults().isEmpty)
+    }
+  }
+
+  test("refreshed edges keep results alive past the original expiry") {
+    withJob(rapq("a b", WindowSpec(10, 5))) { job =>
+      step(job, Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b")), 0)
+      assert(job.currentResults() == Set((1L, 3L)))
+      step(job, Seq(Sgt(8, 1, 2, "a"), Sgt(9, 2, 3, "b")), 1)
+      step(job, Seq(Sgt(12, 5, 6, "a")), 2)
+      assert(job.currentResults() == Set((1L, 3L)))
+    }
   }
 }

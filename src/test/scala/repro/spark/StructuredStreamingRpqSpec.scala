@@ -1,14 +1,11 @@
 package repro.spark
 
-import java.nio.file.Files
-
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 import org.apache.spark.sql.streaming.StreamingQueryException
 
-import repro.SparkSpec
 import repro.automaton.Dfa
 import repro.batch.{BatchRpq, BruteForceSimple}
 import repro.core.{DeltaForest, RapqEngine, RspqBudgetExceeded, RspqEngine}
@@ -20,29 +17,7 @@ import repro.stream.{Op, Sgt, WindowSpec}
   * Randomized streams with deletions are checked after every micro-batch
   * against an oracle on the window content the test derives from the stream.
   */
-class StructuredStreamingRpqSpec extends SparkSpec {
-
-  private def withJob(engine: DeltaForest)(body: StructuredStreamingRpq => Unit): Unit = {
-    val dir = Files.createTempDirectory("rpq-stream")
-    val job = new StructuredStreamingRpq(spark, engine, dir)
-    try {
-      job.start()
-      body(job)
-    } finally job.stop()
-  }
-
-  private def rapq(pattern: String, window: WindowSpec): RapqEngine =
-    new RapqEngine(Dfa.fromPattern(pattern), window)
-
-  /** Feed `batch` as micro-batch `batchId`, wait for it, and return the
-    * result pairs it appended to the log.
-    */
-  private def step(job: StructuredStreamingRpq, batch: Seq[Sgt], batchId: Int): Set[(Long, Long)] = {
-    val logged = job.output.size
-    job.feed(batch, batchId)
-    job.processAllAvailable()
-    job.output.asScala.drop(logged).toSet
-  }
+class StructuredStreamingRpqSpec extends StreamingJobSpec {
 
   /** The window content after `prefix`: the latest insertion of each edge not
     * deleted since, if its timestamp is above `minTs`.
@@ -106,16 +81,6 @@ class StructuredStreamingRpqSpec extends SparkSpec {
       assert(job.currentResults().isEmpty)
       // the append-only output log keeps the earlier result (implicit windows)
       assert(job.output.asScala.toSet == Set((1L, 3L)))
-    }
-  }
-
-  test("refreshed edges keep a result alive past its first expiry") {
-    withJob(rapq("a b", WindowSpec(10, 5))) { job =>
-      step(job, Seq(Sgt(1, 1, 2, "a"), Sgt(2, 2, 3, "b")), 0)
-      assert(job.currentResults() == Set((1L, 3L)))
-      step(job, Seq(Sgt(8, 1, 2, "a"), Sgt(9, 2, 3, "b")), 1)
-      step(job, Seq(Sgt(12, 5, 6, "a")), 2)
-      assert(job.currentResults() == Set((1L, 3L)))
     }
   }
 
