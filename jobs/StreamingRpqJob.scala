@@ -2,6 +2,7 @@ package repro.jobs
 
 import java.nio.file.Files
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.automaton.Dfa
@@ -28,24 +29,25 @@ object StreamingRpqJob {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("streaming-rpq")
       .config("spark.sql.shuffle.partitions", "8")
+      .config("spark.log.level", "WARN") // the per-batch lines are the output
       .getOrCreate()
 
     val dir = Files.createTempDirectory("rpq-stream")
     val window = WindowSpec(size = nEdges / 4, slide = math.max(1, nEdges / 40))
     val engine = new RapqEngine(Dfa.fromPattern(pattern), window, collectResults = false)
     val job = new StructuredStreamingRpq(spark, engine, dir)
-    job.start()
-
-    val stream = StreamGen.ldbcLike(nPersons = 500, nEdges = nEdges)
-    stream.grouped(batchSize).zipWithIndex.foreach { case (batch, i) =>
-      val logged = job.output.size
-      job.feed(batch, i)
-      job.processAllAvailable()
-      println(f"batch $i: ${batch.size} sgts in ${job.lastBatchNanos / 1e6}%.1f ms, " +
-        s"${job.output.size - logged} new log entries; emissions ${engine.emissionCount}, " +
-        s"trees ${engine.numTrees}, nodes ${engine.numNodes}, expiry runs ${engine.expiryRuns}")
-    }
-    job.stop()
+    try {
+      job.start()
+      val stream = StreamGen.ldbcLike(nPersons = 500, nEdges = nEdges)
+      stream.grouped(batchSize).zipWithIndex.foreach { case (batch, i) =>
+        val logged = job.output.size
+        job.feed(batch, i)
+        job.processAllAvailable()
+        println(f"batch $i: ${batch.size} sgts in ${job.lastBatchNanos / 1e6}%.1f ms, " +
+          s"${job.output.size - logged} new log entries; emissions ${engine.emissionCount}, " +
+          s"trees ${engine.numTrees}, nodes ${engine.numNodes}, expiry runs ${engine.expiryRuns}")
+      }
+    } finally try job.stop() finally FileUtils.deleteDirectory(dir.toFile)
     println(s"final result-log size: ${job.output.size}, window results: ${job.currentResults().size}")
     spark.stop()
   }

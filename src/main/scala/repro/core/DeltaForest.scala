@@ -15,10 +15,10 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * Slide expiry visits only what is due: every non-root node is filed in a
   * [[DueIndex]] under its timestamp's slide-sized bucket, and a slide pops
   * the buckets the window has left. A popped node expires if its `ts` has
-  * left the window, is dropped if it already left its tree, and is filed
-  * again under its current `ts` otherwise (a RAPQ node refreshed since, or a
-  * node of the boundary bucket). Delete still scans the trees it affects,
-  * which also removes the nodes that expired there since the last slide.
+  * left the window (a RAPQ slide unlinks it, an RSPQ slide reconnects it), is
+  * dropped if it already left its tree, and is filed again under its current
+  * `ts` otherwise (a RAPQ node refreshed since, or a node of the boundary
+  * bucket). Delete scans the trees it affects, also dropping nodes that expired lazily.
   *
   * It also drives the traversal that Insert (§3.1) and Extend (§4.1) share:
   * an arriving edge seeds extension frames, expiry re-seeds a lost pair from
@@ -56,6 +56,10 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   private[core] var duePopped, dueExpired, dueRefiled = 0L
   // Inverted index: vertex -> trees containing >= 1 node for that vertex.
   private val vertexTrees = mutable.LongMap.empty[mutable.Set[T]]
+  private val maybeRootOnly = mutable.ArrayBuffer.empty[T] // trees created or shrunk to root since last slide
+  // The nodes the running Delete marked, in marking order, and their `ts` before it.
+  private val marked = mutable.ArrayBuffer.empty[Node]
+  private val markedTs = mutable.ArrayBuffer.empty[Long]
   private val clock = new SlideClock(window.slide)
 
   private val k = dfa.k
@@ -85,26 +89,30 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val minTs = window.lowerBound(ts)
     graph.pruneExpired(minTs)
     val t0 = System.nanoTime()
-    // expired nodes grouped by tree, trees and nodes in pop order
-    val expired = mutable.LinkedHashMap.empty[Tree, mutable.ArrayBuffer[Node]]
+    // expired nodes to reconnect, grouped by tree, trees and nodes in pop order
+    val expired = if (slideReconnects) mutable.LinkedHashMap.empty[T, mutable.ArrayBuffer[Node]] else null
     due.popThrough(Math.floorDiv(minTs, window.slide)) { n =>
       duePopped += 1
       if (n.tree != null) {
         if (n.ts <= minTs) {
           dueExpired += 1
-          expired.getOrElseUpdate(n.tree, mutable.ArrayBuffer.empty) += n
+          if (expired == null) unlink(n)
+          else expired.getOrElseUpdate(n.tree.asInstanceOf[T], mutable.ArrayBuffer.empty) += n
         } else {
           dueRefiled += 1
           due.file(n)
         }
       }
     }
-    // A reconnection that throws (RSPQ's step budget) leaves the later trees
-    // unexpired, as a full scan would; filed again, the next slide pops them.
-    val pending = expired.iterator
-    try pending.foreach { case (tree, ns) => expireNodes(tree.asInstanceOf[T], ns.toArray, minTs) }
-    finally pending.foreach { case (_, ns) => ns.foreach(due.file) }
-    trees.valuesIterator.filter(_.size <= 1).toList.foreach(dropTree)
+    if (expired != null) {
+      // A reconnection that throws (RSPQ's step budget) leaves the later trees
+      // unexpired, as a full scan would; filed again, the next slide pops them.
+      val pending = expired.iterator
+      try pending.foreach { case (tree, ns) => ns.foreach(unlink); reconnect(tree, ns.toArray, minTs) }
+      finally pending.foreach { case (_, ns) => ns.foreach(due.file) }
+    }
+    maybeRootOnly.foreach(tree => if (tree.size <= 1 && tree.rootNode.tree != null) dropTree(tree))
+    maybeRootOnly.clear()
     expiryNanos += System.nanoTime() - t0
     expiryRuns += 1
   }
@@ -120,11 +128,14 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   /** Called once per arriving edge, before its traversals. */
   protected def arrival(): Unit = ()
 
-  /** The engine's half of expiry on `tree`, just pruned of `expired`:
-    * reconnect what valid edges still reach, and return the expired nodes
-    * whose results may now be invalidated.
+  /** The engine's half of expiry on `tree`, just pruned of `expired`, each
+    * with the `ts` it had there: reconnect what valid edges still reach, and
+    * return the expired nodes whose results may now be invalidated.
     */
   protected def reconnect(tree: T, expired: Array[Node], minTs: Long): Array[Node]
+
+  /** Whether a slide reconnects what it expires, or only unlinks it. */
+  protected def slideReconnects: Boolean
 
   /** Whether a pair `(x, x)` counts as a result. */
   protected def selfPairs: Boolean
@@ -152,18 +163,23 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     if (c == 0) vertexTrees.getOrElseUpdate(n.v, mutable.Set.empty) += tree
   }
 
-  private def nodeRemoved(tree: T, n: Node): Unit = {
+  /** Take node `n` out of its tree and the vertex→trees index. */
+  private def unlink(n: Node): Unit = {
+    val tree = n.tree.asInstanceOf[T]
+    tree.remove(key(n.v, n.s), n)
     tree.size -= 1
+    if (tree.size == 1) maybeRootOnly += tree
     n.tree = null
-    val v = n.v
-    val c = tree.vertexNodeCount.getOrElse(v, 1) - 1
+    if (n.parent != null) n.parent.removeChild(n)
+    n.parent = null
+    val c = tree.vertexNodeCount.getOrElse(n.v, 1) - 1
     if (c == 0) {
-      tree.vertexNodeCount.remove(v)
-      vertexTrees.get(v).foreach { set =>
+      tree.vertexNodeCount -= n.v
+      vertexTrees.get(n.v).foreach { set =>
         set -= tree
-        if (set.isEmpty) vertexTrees.remove(v)
+        if (set.isEmpty) vertexTrees -= n.v
       }
-    } else tree.vertexNodeCount(v) = c
+    } else tree.vertexNodeCount(n.v) = c
   }
 
   // ----------------------------------------------------- extension traversal
@@ -186,6 +202,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
       val tree = newTree(u)
       addNode(tree, tree.rootNode)
       trees(u) = tree
+      maybeRootOnly += tree
     }
 
     // A traversal adds nodes only to its own tree, which already counts u, so
@@ -242,42 +259,49 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
   // ------------------------------------------------------------------ expiry
 
-  /** Remove `expired` from `tree` and reconnect what valid edges still reach;
-    * returns the expired nodes whose results may now be invalidated.
-    */
-  private def expireNodes(tree: T, expired: Array[Node], minTs: Long): Array[Node] = {
-    expired.foreach { n =>
-      tree.remove(key(n.v, n.s), n)
-      nodeRemoved(tree, n)
-      if (n.parent != null) n.parent.removeChild(n)
-      n.parent = null
-    }
-    reconnect(tree, expired, minTs)
-  }
-
   /** Drop `tree` from Δ once it holds only its root. */
   private def dropTree(tree: T): Unit = {
-    nodeRemoved(tree, tree.rootNode)
-    trees.remove(tree.rootVertex)
+    unlink(tree.rootNode)
+    trees -= tree.rootVertex
   }
 
-  /** Expire the trees that lost a tree edge on a deletion, scanning each for
-    * every node that has left the window; returns the invalidated `(x, v)`
-    * pairs.
+  // ------------------------------------------------------------------ delete
+
+  /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
+    * matching the deleted edge disconnect their subtree, marked expired
+    * (`ts = −∞`); each affected tree drops every node that left the window,
+    * the marked ones take back their old `ts`, and the engine reconnects what
+    * valid edges still reach. Returns the invalidated `(x, v)` pairs.
     */
-  private def expireTrees(affected: collection.Seq[T], ts: Long): Set[(Long, Long)] = {
+  def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
+    requireVertices(u, v)
+    if (!graph.remove(u, v, label)) return Set.empty
+    val pairs = dfa.byLabel.getOrElse(label, Nil)
+    if (pairs.isEmpty) return Set.empty
+
+    val affected = mutable.ArrayBuffer.empty[T]
+    marked.clear(); markedTs.clear()
+    treesOf(v).foreach { tree =>
+      val before = marked.size
+      for ((s, t) <- pairs; node <- tree.nodesFor(key(v, t))) // a marked node lies under an earlier hit
+        if (node.parent != null && node.parent.v == u && node.parent.s == s && node.ts != Long.MinValue)
+          markSubtree(node)
+      if (marked.size > before) affected += tree
+    }
+    if (affected.isEmpty) return Set.empty
     val t0 = System.nanoTime()
     val minTs = window.lowerBound(ts)
     val invalidated = mutable.Set.empty[(Long, Long)]
+    var i = 0 // `marked` holds each affected tree's nodes in turn, in `affected`'s order
     affected.foreach { tree =>
       val expired = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toArray
-      if (expired.nonEmpty) {
-        // a result is invalidated when its final pair stayed disconnected
-        expireNodes(tree, expired, minTs).foreach { n =>
-          if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
-              tree.nodesFor(key(n.v, n.s)).isEmpty)
-            invalidated += ((tree.rootVertex, n.v))
-        }
+      expired.foreach(unlink)
+      while (i < marked.size && marked(i).tree == null) { marked(i).ts = markedTs(i); i += 1 }
+      // a result is invalidated when its final pair stayed disconnected
+      reconnect(tree, expired, minTs).foreach { n =>
+        if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
+            tree.nodesFor(key(n.v, n.s)).isEmpty)
+          invalidated += ((tree.rootVertex, n.v))
       }
       if (tree.size <= 1) dropTree(tree)
     }
@@ -286,40 +310,12 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     invalidated.toSet
   }
 
-  // ------------------------------------------------------------------ delete
-
-  /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
-    * matching the deleted edge disconnect their subtree; affected nodes are
-    * marked expired (`ts = −∞`) and the expiry machinery reconnects or
-    * permanently removes them. Returns the invalidated `(x, v)` pairs.
-    */
-  def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
-    requireVertices(u, v)
-    val existed = graph.remove(u, v, label)
-    if (!existed) return Set.empty
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
-    if (pairs.isEmpty) return Set.empty
-
-    val affected = mutable.ArrayBuffer.empty[T]
-    treesOf(v).foreach { tree =>
-      var hit = false
-      pairs.foreach { case (s, t) =>
-        tree.nodesFor(key(v, t)).foreach { node =>
-          if (node.parent != null && node.parent.v == u && node.parent.s == s) {
-            markSubtree(node)
-            hit = true
-          }
-        }
-      }
-      if (hit) affected += tree
-    }
-    if (affected.nonEmpty) expireTrees(affected, ts) else Set.empty
-  }
-
   private def markSubtree(root: Node): Unit = {
     val stack = mutable.Stack(root)
     while (stack.nonEmpty) {
       val n = stack.pop()
+      marked += n
+      markedTs += n.ts
       n.ts = Long.MinValue
       var c = n.firstChild
       while (c != null) { stack.push(c); c = c.nextSib }
@@ -334,8 +330,8 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // ------------------------------------------------------------------ views
 
   /** Pairs `(x, v)` with a currently window-valid accepting node — the
-    * explicit-window result set `Q_R(G_{W,τ})`. Exact immediately after an
-    * expiry pass (see DESIGN.md §3); tests call `forceExpiry(τ)` first.
+    * explicit-window result set `Q_R(G_{W,τ})`. Exact after every tuple for
+    * RAPQ, and for RSPQ right after an expiry pass (see DESIGN.md §3).
     */
   def currentResults(ts: Long): Set[(Long, Long)] = {
     val minTs = window.lowerBound(ts)

@@ -9,13 +9,14 @@ import repro.stream.WindowSpec
   * time-based sliding window (paper §3: Algorithms RAPQ, Insert, ExpiryRAPQ
   * and §3.2: Delete). The Δ tree index, the window clock, Delete and the
   * extension traversal live in [[DeltaForest]]; this engine adds Insert's
-  * rule and ExpiryRAPQ's choice of what to reconnect. Each tree holds at most
+  * rule and Delete's choice of what to reconnect. Each tree holds at most
   * one node per `(v, s)` pair.
   *
   * Faithfulness notes (see DESIGN.md §3):
   *   - `drain` re-parents a pre-existing node onto a fresher path and
-  *     recurses over its outgoing edges, so node timestamps always equal the
-  *     best window-path freshness and append-only expiry is a pure filter;
+  *     recurses over its outgoing edges, and Delete re-pulls what it marked:
+  *     node timestamps are always the best path freshness, so a slide is a
+  *     pure filter;
   *   - eager evaluation (results produced per arriving tuple), lazy
   *     expiration (physical removal every `window.slide` time units).
   */
@@ -30,6 +31,7 @@ final class RapqEngine(
   protected type T = Tree
 
   protected def selfPairs: Boolean = true
+  protected def slideReconnects: Boolean = false
 
   protected def newTree(x: Long): Tree = new Tree(x, dfa.start)
 
@@ -87,15 +89,16 @@ final class RapqEngine(
 
   // ------------------------------------------------------------------ expiry
 
-  /** Algorithm ExpiryRAPQ's reconnection: try to re-attach each node whose
-    * freshest known path left the window via still-valid incoming edges
-    * (which re-discovers results through alternative paths).
+  /** Delete's reconnection: re-pull each marked pair still in the window from
+    * all valid in-edges, even if re-added, so `drain` settles it at its max–min
+    * freshness, unless it is back at its old `ts`; lazily expired ones stay out.
     */
   protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {
-    // Insert's recursion transitively re-adds reachable descendants.
     expired.foreach { n =>
-      if (tree.nodes.getOrNull(key(n.v, n.s)) == null)
-        traverse(tree, minTs)(reopen(tree, n.v, n.s, minTs))
+      if (n.ts > minTs) {
+        val m = tree.nodes.getOrNull(key(n.v, n.s))
+        if (m == null || m.ts < n.ts) traverse(tree, minTs)(reopen(tree, n.v, n.s, minTs))
+      }
     }
     expired
   }
@@ -128,6 +131,6 @@ object RapqEngine {
       if (n == null) Nil else n :: Nil
     }
     def add(k: Long, n: Node): Unit = nodes(k) = n
-    def remove(k: Long, n: Node): Unit = nodes.remove(k)
+    def remove(k: Long, n: Node): Unit = nodes -= k
   }
 }

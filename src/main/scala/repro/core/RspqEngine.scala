@@ -50,6 +50,7 @@ final class RspqEngine(
   // semantics (any length≥1 path x→…→x revisits x), and we do not report
   // ε-results — so self-pairs are never results.
   protected def selfPairs: Boolean = false
+  protected def slideReconnects: Boolean = true
 
   protected def newTree(x: Long): Tree = new Tree(x, dfa.start, key(x, dfa.start))
 
@@ -168,7 +169,7 @@ object RspqEngine {
     def nodesFor(k: Long): List[Node] = nodes.getOrElse(k, Nil)
     def add(k: Long, n: Node): Unit = nodes(k) = n :: nodesFor(k)
     def remove(k: Long, n: Node): Unit = nodesFor(k).filterNot(_ eq n) match {
-      case Nil  => nodes.remove(k)
+      case Nil  => nodes -= k
       case rest => nodes(k) = rest
     }
   }

@@ -132,10 +132,10 @@ final class SnapshotGraph {
     */
   private def unlink(src: Long, om: Adjacency, i: Int, dst: Long, l: Int): Unit = {
     om.removeAt(i)
-    if (om.size == 0) out.remove(src)
+    if (om.size == 0) out -= src
     val im = in(dst)
     im.removeAt(im.indexOf(src, l))
-    if (im.size == 0) in.remove(dst)
+    if (im.size == 0) in -= dst
     edgeCount -= 1
   }
 }

@@ -93,6 +93,44 @@ class RapqDeleteSpec extends AnyFunSuite {
     assert(e.currentResults(4) == Set((0L, 1L), (0L, 2L), (1L, 2L)))
   }
 
+  test("Delete re-pulls a marked pair that an earlier reconnection re-added at a lower ts") {
+    // In T_2, deleting 3 -b-> 0 marks (0, s1) and its child (1, s1). Re-pulled
+    // first, (0, s1) comes back through 2 -a-> 0 at 16 and re-adds (1, s1) at
+    // 16. (1, s1) must still be re-pulled: the path 2 -a-> 4 -b-> 3 -b-> 1
+    // gives it 17, which keeps it in the window at 28, when 1 -b-> 5 arrives.
+    val e = new RapqEngine(Dfa.fromPattern("a b*"), WindowSpec(12, 4))
+    Seq(Sgt(16, 2, 0, "a"), Sgt(17, 3, 1, "b"), Sgt(20, 0, 1, "b"), Sgt(23, 3, 0, "b"),
+        Sgt(23, 4, 3, "b"), Sgt(26, 2, 4, "a"), Sgt(27, 3, 0, "b", Op.Delete)).foreach(e.processTuple)
+    assert(e.treeSnapshot(2)((1L, 1)) == 17)
+    e.processTuple(Sgt(28, 1, 5, "b"))
+    assert(e.results.contains((2L, 5L)))
+  }
+
+  for (p <- Seq("a b*", "(a | b | c)+", "a* b*"))
+    test(s"[$p] without forceExpiry, currentResults matches batch after every tuple of streams with deletions") {
+      val dfa = Dfa.fromPattern(p)
+      val w = WindowSpec(size = 12, slide = 4)
+      (0 until 500).foreach { seed =>
+        val e = new RapqEngine(dfa, w)
+        val rnd = new Random(seed)
+        val live = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, String)]
+        var ts = 0L
+        (1 to 40).foreach { _ =>
+          ts += rnd.nextInt(3)
+          if (live.nonEmpty && rnd.nextDouble() < 0.2) {
+            val (s, d, l) = live.remove(rnd.nextInt(live.length))
+            e.processTuple(Sgt(ts, s, d, l, Op.Delete))
+          } else {
+            val t = (rnd.nextInt(6).toLong, rnd.nextInt(6).toLong, Seq("a", "b", "c")(rnd.nextInt(3)))
+            live += t
+            e.processTuple(Sgt(ts, t._1, t._2, t._3))
+          }
+          val expected = BatchRpq.evaluateWindow(e.graph, w.lowerBound(ts), dfa)
+          assert(e.currentResults(ts) == expected, s"[$p] seed $seed: divergence at ts=$ts")
+        }
+      }
+    }
+
   private val patterns = Seq("a b*", "(a | b | c)+", "(a b)+", "a b c")
 
   for (p <- patterns) {

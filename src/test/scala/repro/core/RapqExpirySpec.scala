@@ -68,6 +68,16 @@ class RapqExpirySpec extends AnyFunSuite {
     assert(e.numNodes == 0)
   }
 
+  test("a tree that never grows past its root is dropped at the next slide") {
+    // under a*, δ(s0, a) = s0: the self-loop roots T_1 and reaches only (1, s0)
+    for (e <- bothEngines("a*", WindowSpec(100, 10))) {
+      e.processTuple(Sgt(1, 1, 1, "a"))
+      assert((e.numTrees, e.numNodes) == ((1, 1L)))
+      e.forceExpiry(1)
+      assert((e.numTrees, e.numNodes) == ((0, 0L)))
+    }
+  }
+
   test("a dropped tree is re-created when fresh edges arrive") {
     val e = engine()
     Seq(Sgt(1, a, b, f), Sgt(2, b, c, m)).foreach(e.processTuple)
@@ -115,6 +125,34 @@ class RapqExpirySpec extends AnyFunSuite {
     assert(e.emissionCount > emissionsBefore, "reconnected accepting node re-emits")
     assert(e.treeParents(a)((c, 2)) == ((b, 1)))
     assert(e.currentResults(5) == Set((a, c)))
+  }
+
+  test("a RAPQ slide creates no node, with and without deletions") {
+    for (deleteRatio <- Seq(0.0, 0.15)) {
+      val e = new RapqEngine(Dfa.fromPattern("(a | b | c)+"), WindowSpec(30, 5))
+      val rnd = new scala.util.Random(47)
+      val live = scala.collection.mutable.ArrayBuffer.empty[Sgt]
+      def nodes = e.trees.valuesIterator.flatMap(_.allNodes).toSet
+      (1L to 1500L).foreach { ts =>
+        val (before, numNodes, numTrees) = (nodes, e.numNodes, e.numTrees)
+        val (expired, emitted) = (e.dueExpired, e.emissionCount)
+        e.forceExpiry(ts)
+        val clue = s"delete ratio $deleteRatio at $ts"
+        assert(nodes.subsetOf(before), clue)
+        assert(e.emissionCount == emitted, clue)
+        // expired nodes, plus the root of each dropped tree
+        assert(e.numNodes == numNodes - (e.dueExpired - expired) - (numTrees - e.numTrees), clue)
+        e.processTuple(
+          if (live.nonEmpty && rnd.nextDouble() < deleteRatio)
+            live.remove(rnd.nextInt(live.size)).copy(ts = ts, op = Op.Delete)
+          else {
+            val t = Sgt(ts, rnd.nextInt(10).toLong, rnd.nextInt(10).toLong, Seq("a", "b", "c")(rnd.nextInt(3)))
+            live += t
+            t
+          })
+      }
+      assert(e.dueExpired > 1000)
+    }
   }
 
   test("currentResults equals the batch evaluation after every forced expiry") {

@@ -4,6 +4,8 @@ import java.nio.file.Files
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.commons.io.FileUtils
+
 import repro.SparkSpec
 import repro.automaton.Dfa
 import repro.core.{DeltaForest, RapqEngine}
@@ -18,7 +20,7 @@ trait StreamingJobSpec extends SparkSpec {
     try {
       job.start()
       body(job)
-    } finally job.stop()
+    } finally try job.stop() finally FileUtils.deleteDirectory(dir.toFile)
   }
 
   protected def rapq(pattern: String, window: WindowSpec): RapqEngine =

@@ -3,14 +3,17 @@
 
 Usage:
 
-    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] a.jfr [b.jfr ...]
+    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] [--callees TEXT] a.jfr [b.jfr ...]
 
 Reads the `jdk.ExecutionSample` events of every file (through the JDK's `jfr`
 tool) and pools them. Prints each frame's share of all samples as self time
 (the sample's top frame) and as inclusive time (the frame is anywhere in the
 sample's stack, counted once per sample). With `--callers TEXT`, it also
 prints, for the samples whose stack holds a frame whose label contains TEXT,
-the share of each caller of the topmost such frame. A frame's label is
+the share of each caller of the topmost such frame. With `--callees TEXT`, it
+splits the samples whose stack holds a frame whose label contains TEXT by the
+frame that the outermost such frame calls directly, `(self)` when it is the
+sample's top frame, as shares of those samples. A frame's label is
 `Class.method`, with the class name stripped of its package.
 """
 
@@ -50,10 +53,11 @@ def main():
     ap.add_argument("--top", type=int, default=15, help="rows per table")
     ap.add_argument("--depth", type=int, default=64, help="stack frames read per sample")
     ap.add_argument("--callers", metavar="TEXT", help="also list the callers of frames containing TEXT")
+    ap.add_argument("--callees", metavar="TEXT", help="also split the outermost frame containing TEXT by callee")
     args = ap.parse_args()
 
-    self_counts, incl_counts, callers = (collections.Counter() for _ in range(3))
-    total = matched = 0
+    self_counts, incl_counts, callers, callees = (collections.Counter() for _ in range(4))
+    total = matched = outer = 0
     for path in args.files:
         for stack in stacks(path, args.depth):
             total += 1
@@ -64,6 +68,11 @@ def main():
                 if i is not None:
                     matched += 1
                     callers[stack[i + 1] if i + 1 < len(stack) else "(stack root)"] += 1
+            if args.callees:
+                i = next((i for i in range(len(stack) - 1, -1, -1) if args.callees in stack[i]), None)
+                if i is not None:
+                    outer += 1
+                    callees[stack[i - 1] if i > 0 else "(self)"] += 1
     if total == 0:
         sys.exit("jfr_top: no jdk.ExecutionSample events")
     print(f"{total} samples from {len(args.files)} file(s)")
@@ -73,6 +82,10 @@ def main():
         print(f"frames containing {args.callers!r}: {matched} samples ({100.0 * matched / total:.1f}%)")
         if matched:
             table("their callers, as shares of all samples", callers, total, args.top)
+    if args.callees:
+        print(f"frames containing {args.callees!r}, outermost: {outer} samples ({100.0 * outer / total:.1f}%)")
+        if outer:
+            table("their direct callees, as shares of these samples", callees, outer, args.top)
 
 
 if __name__ == "__main__":
