@@ -57,9 +57,6 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // Inverted index: vertex -> trees containing >= 1 node for that vertex.
   private val vertexTrees = mutable.LongMap.empty[mutable.Set[T]]
   private val maybeRootOnly = mutable.ArrayBuffer.empty[T] // trees created or shrunk to root since last slide
-  // The nodes the running Delete marked, in marking order, and their `ts` before it.
-  private val marked = mutable.ArrayBuffer.empty[Node]
-  private val markedTs = mutable.ArrayBuffer.empty[Long]
   private val clock = new SlideClock(window.slide)
 
   private val k = dfa.k
@@ -268,10 +265,10 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // ------------------------------------------------------------------ delete
 
   /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
-    * matching the deleted edge disconnect their subtree, marked expired
-    * (`ts = −∞`); each affected tree drops every node that left the window,
-    * the marked ones take back their old `ts`, and the engine reconnects what
-    * valid edges still reach. Returns the invalidated `(x, v)` pairs.
+    * matching the deleted edge disconnect their subtree; each affected tree
+    * unlinks those subtrees and every node that left the window, and the
+    * engine reconnects what valid edges still reach, reading each unlinked
+    * node's `ts`. Returns the invalidated `(x, v)` pairs.
     */
   def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
     requireVertices(u, v)
@@ -279,26 +276,23 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val pairs = dfa.byLabel.getOrElse(label, Nil)
     if (pairs.isEmpty) return Set.empty
 
-    val affected = mutable.ArrayBuffer.empty[T]
-    marked.clear(); markedTs.clear()
-    treesOf(v).foreach { tree =>
-      val before = marked.size
-      for ((s, t) <- pairs; node <- tree.nodesFor(key(v, t))) // a marked node lies under an earlier hit
-        if (node.parent != null && node.parent.v == u && node.parent.s == s && node.ts != Long.MinValue)
-          markSubtree(node)
-      if (marked.size > before) affected += tree
+    // the deleted edge's tree edges (u, s) -> (v, t), by tree; unlinking below changes treesOf(v)
+    val hits = treesOf(v).toList.flatMap { tree =>
+      val hs = for ((s, t) <- pairs; n <- tree.nodesFor(key(v, t))
+                    if n.parent != null && n.parent.v == u && n.parent.s == s) yield n
+      if (hs.isEmpty) Nil else List(tree -> hs)
     }
-    if (affected.isEmpty) return Set.empty
+    if (hits.isEmpty) return Set.empty
     val t0 = System.nanoTime()
     val minTs = window.lowerBound(ts)
     val invalidated = mutable.Set.empty[(Long, Long)]
-    var i = 0 // `marked` holds each affected tree's nodes in turn, in `affected`'s order
-    affected.foreach { tree =>
-      val expired = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toArray
-      expired.foreach(unlink)
-      while (i < marked.size && marked(i).tree == null) { marked(i).ts = markedTs(i); i += 1 }
+    hits.foreach { case (tree, hs) =>
+      val lost = mutable.ArrayBuffer.empty[Node]
+      hs.foreach(h => if (h.tree != null) unlinkSubtree(h, lost)) // else under an earlier hit
+      val stale = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toList
+      stale.foreach(unlink)
       // a result is invalidated when its final pair stayed disconnected
-      reconnect(tree, expired, minTs).foreach { n =>
+      reconnect(tree, (lost ++= stale).toArray, minTs).foreach { n =>
         if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
             tree.nodesFor(key(n.v, n.s)).isEmpty)
           invalidated += ((tree.rootVertex, n.v))
@@ -310,15 +304,15 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     invalidated.toSet
   }
 
-  private def markSubtree(root: Node): Unit = {
+  /** Unlink `root` and every node below it, appending them to `out`. */
+  private def unlinkSubtree(root: Node, out: mutable.ArrayBuffer[Node]): Unit = {
     val stack = mutable.Stack(root)
     while (stack.nonEmpty) {
       val n = stack.pop()
-      marked += n
-      markedTs += n.ts
-      n.ts = Long.MinValue
       var c = n.firstChild
       while (c != null) { stack.push(c); c = c.nextSib }
+      unlink(n)
+      out += n
     }
   }
 
@@ -360,7 +354,7 @@ object DeltaForest {
 
   /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
     * intrusive doubly linked child list (`firstChild`, then `nextSib`; needed
-    * by Delete's subtree marking), so linking and unlinking a child are O(1).
+    * by Delete's subtree unlinking), so linking and unlinking a child are O(1).
     * `tree` is the tree holding it, `null` once it has left; `nextDue` links
     * it into its [[DueIndex]] bucket.
     */

@@ -14,7 +14,7 @@ import repro.stream.WindowSpec
   *
   * Faithfulness notes (see DESIGN.md §3):
   *   - `drain` re-parents a pre-existing node onto a fresher path and
-  *     recurses over its outgoing edges, and Delete re-pulls what it marked:
+  *     recurses over its outgoing edges, and Delete re-pulls what it disconnected:
   *     node timestamps are always the best path freshness, so a slide is a
   *     pure filter;
   *   - eager evaluation (results produced per arriving tuple), lazy
@@ -89,8 +89,8 @@ final class RapqEngine(
 
   // ------------------------------------------------------------------ expiry
 
-  /** Delete's reconnection: re-pull each marked pair still in the window from
-    * all valid in-edges, even if re-added, so `drain` settles it at its max–min
+  /** Delete's reconnection: re-pull each disconnected pair still in the window
+    * from all valid in-edges, even if re-added, so `drain` settles it at its max–min
     * freshness, unless it is back at its old `ts`; lazily expired ones stay out.
     */
   protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {

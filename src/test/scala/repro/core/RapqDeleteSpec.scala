@@ -106,7 +106,29 @@ class RapqDeleteSpec extends AnyFunSuite {
     assert(e.results.contains((2L, 5L)))
   }
 
-  for (p <- Seq("a b*", "(a | b | c)+", "a* b*"))
+  test("Delete disconnects a hit lying under a later hit once, keeping its ts") {
+    // (b a c a)+ numbers its states 0 -b-> 1 -a-> 2 -c-> 3 -a-> 4 -b-> 1, so
+    // label a has pairs (1, 2) and (3, 4). T_0 holds (3, s3) -a-> (4, s4)
+    // -b-> (3, s1) -a-> (4, s2): deleting 3 -a-> 4 hits (4, s2) first and then
+    // its ancestor (4, s4). (4, s2) must still come back through 0 -b-> 5
+    // -a-> 4 at ts 1, so that 4 -c-> 6 -a-> 7 makes (0, 7) a result.
+    val e = engine("(b a c a)+")
+    Seq(Sgt(1, 0, 5, "b"), Sgt(2, 5, 4, "a"), Sgt(10, 0, 1, "b"), Sgt(11, 1, 2, "a"),
+        Sgt(12, 2, 3, "c"), Sgt(13, 3, 4, "a"), Sgt(14, 4, 3, "b")).foreach(e.processTuple)
+    assert(e.treeParents(0)((4L, 2)) == ((3L, 1)))
+    e.processTuple(Sgt(15, 3, 4, "a", Op.Delete))
+    assert(e.treeSnapshot(0)((4L, 2)) == 1)
+    e.processTuple(Sgt(16, 4, 6, "c"))
+    e.processTuple(Sgt(17, 6, 7, "a"))
+    assert(e.results.contains((0L, 7L)))
+    assert(e.currentResults(17) == BatchRpq.evaluateWindow(e.graph, e.window.lowerBound(17), e.dfa))
+  }
+
+  // (pattern, vertices, tuples, deletion ratio). (b a c a)+ gives label a two
+  // pairs with different targets, so one Delete can hit a node and its
+  // ancestor; that needs a denser stream to show up.
+  for ((p, vertices, tuples, deletes) <- Seq(("a b*", 6, 40, 0.2), ("(a | b | c)+", 6, 40, 0.2),
+                                             ("a* b*", 6, 40, 0.2), ("(b a c a)+", 3, 80, 0.35)))
     test(s"[$p] without forceExpiry, currentResults matches batch after every tuple of streams with deletions") {
       val dfa = Dfa.fromPattern(p)
       val w = WindowSpec(size = 12, slide = 4)
@@ -115,13 +137,14 @@ class RapqDeleteSpec extends AnyFunSuite {
         val rnd = new Random(seed)
         val live = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, String)]
         var ts = 0L
-        (1 to 40).foreach { _ =>
+        (1 to tuples).foreach { _ =>
           ts += rnd.nextInt(3)
-          if (live.nonEmpty && rnd.nextDouble() < 0.2) {
+          if (live.nonEmpty && rnd.nextDouble() < deletes) {
             val (s, d, l) = live.remove(rnd.nextInt(live.length))
             e.processTuple(Sgt(ts, s, d, l, Op.Delete))
           } else {
-            val t = (rnd.nextInt(6).toLong, rnd.nextInt(6).toLong, Seq("a", "b", "c")(rnd.nextInt(3)))
+            val t = (rnd.nextInt(vertices).toLong, rnd.nextInt(vertices).toLong,
+                     Seq("a", "b", "c")(rnd.nextInt(3)))
             live += t
             e.processTuple(Sgt(ts, t._1, t._2, t._3))
           }

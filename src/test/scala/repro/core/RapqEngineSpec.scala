@@ -198,9 +198,9 @@ class RapqEngineSpec extends AnyFunSuite {
       "36006 21826 139 49",
       "1 2 1 0;233 388 174 19;532 793 320 44;927 1248 427 66;1483 1867 536 81;" +
       "2321 2735 628 97;3156 3521 704 118;4272 4653 772 134;5868 6162 828 154;8381 8351 881 175;" +
-      "11624 11476 930 189;14558 14187 969 204;18819 16255 972 224;23581 15952 965 242;28184 17303 976 258;" +
-      "32777 17346 982 275;38330 17281 984 286;41447 18633 990 297;45821 19695 991 312;51099 20325 994 326;" +
-      "54583 19840 986 335;59225 19998 986 348;63228 19622 997 361",
+      "11624 11476 930 189;14558 14187 969 204;18819 16255 972 224;23581 15952 965 242;28187 17303 976 258;" +
+      "32780 17346 982 275;38333 17281 984 286;41450 18633 990 297;45824 19695 991 312;51102 20325 994 326;" +
+      "54586 19840 986 335;59228 19998 986 348;63231 19622 997 361",
     )
     cases.zip(expected).foreach { case ((name, actual), want) =>
       val wanted = want.split(';').toSeq
