@@ -10,7 +10,12 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * `(v, s)` witnesses a window-valid path `p : x → v` with
   * `δ*(s0, φ(p)) = s` and carries `ts = p.ts`, the path's minimum edge
   * timestamp. It owns the window graph, the lazy-expiration clock (§2), the
-  * vertex→trees index, Algorithm Delete (§3.2) and the expiry loop.
+  * pair→nodes index, Algorithm Delete (§3.2) and the expiry loop.
+  *
+  * The pair→nodes index lists, for each `(v, s)`, its nodes in every tree,
+  * newest first: a map from the pair's key to its newest node, and from there
+  * the intrusive `nextAtPair` links. Arrivals seed their frames from it, and
+  * Delete walks it to find the deleted edge's tree edges.
   *
   * Slide expiry visits only what is due: every non-root node is filed in a
   * [[DueIndex]] under its timestamp's slide-sized bucket, and a slide pops
@@ -21,9 +26,13 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * bucket). Delete scans the trees it affects, also dropping nodes that expired lazily.
   *
   * It also drives the traversal that Insert (§3.1) and Extend (§4.1) share:
-  * an arriving edge seeds extension frames, expiry re-seeds a lost pair from
-  * valid in-edges ([[reopen]]), and each engine's `drain` applies its own
-  * rule to the frames, kept on one stack that every traversal reuses.
+  * an arriving edge `u -l-> v` seeds the frames of every tree at once from
+  * the lists of its pairs `(u, s)`, and one traversal drains them; expiry
+  * re-seeds a lost pair of one tree from valid in-edges ([[reopen]]). Each
+  * engine's `drain` applies its own rule to the frames, kept on one stack
+  * that every traversal reuses, and reads a frame's tree from its parent
+  * node. A frame reads and writes only that tree, so interleaving the trees'
+  * seeds in one traversal leaves each tree's work unchanged.
   * The graph interns the DFA's labels first, so an edge's label id indexes
   * the DFA's transition table ([[Dfa.step]]) directly.
   *
@@ -54,8 +63,8 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // Cumulative slide pop counts: every popped node is expired, filed again,
   // or dropped because it already left its tree.
   private[core] var duePopped, dueExpired, dueRefiled = 0L
-  // Inverted index: vertex -> trees containing >= 1 node for that vertex.
-  private val vertexTrees = mutable.LongMap.empty[mutable.Set[T]]
+  // Pair index: key(v, s) -> the pair's newest node in any tree; the others follow through `nextAtPair`.
+  private[core] val pairNodes = mutable.LongMap.empty[Node]
   private val maybeRootOnly = mutable.ArrayBuffer.empty[T] // trees created or shrunk to root since last slide
   private val clock = new SlideClock(window.slide)
 
@@ -118,9 +127,9 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   protected def newTree(x: Long): T
 
   /** Pop the frame stack to empty, applying the engine's extension rule to
-    * each frame of a traversal of `tree`.
+    * each frame in the tree of its parent node.
     */
-  protected def drain(tree: T, minTs: Long): Unit
+  protected def drain(minTs: Long): Unit
 
   /** Called once per arriving edge, before its traversals. */
   protected def arrival(): Unit = ()
@@ -144,39 +153,38 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
   // ------------------------------------------------------- index bookkeeping
 
-  /** Trees holding at least one node for vertex `v`. */
-  protected final def treesOf(v: Long): collection.Set[T] = vertexTrees.getOrElse(v, Set.empty[T])
-
-  /** Store node `n` in `tree`, count it in the vertex→trees index and, unless
-    * it is the root, file it for expiry.
+  /** Store node `n` in `tree`, link it at the head of its pair's list and,
+    * unless it is the root, file it for expiry.
     */
   protected final def addNode(tree: T, n: Node): Unit = {
-    tree.add(key(n.v, n.s), n)
+    val kn = key(n.v, n.s)
+    tree.add(kn, n)
     tree.size += 1
     n.tree = tree
     if (n ne tree.rootNode) due.file(n)
-    val c = tree.vertexNodeCount.getOrElse(n.v, 0)
-    tree.vertexNodeCount(n.v) = c + 1
-    if (c == 0) vertexTrees.getOrElseUpdate(n.v, mutable.Set.empty) += tree
+    val head = pairNodes.getOrNull(kn)
+    n.nextAtPair = head
+    if (head != null) head.prevAtPair = n
+    pairNodes(kn) = n
   }
 
-  /** Take node `n` out of its tree and the vertex→trees index. */
+  /** Take node `n` out of its tree, and out of its pair's list in O(1). */
   private def unlink(n: Node): Unit = {
     val tree = n.tree.asInstanceOf[T]
-    tree.remove(key(n.v, n.s), n)
+    val kn = key(n.v, n.s)
+    tree.remove(kn, n)
     tree.size -= 1
     if (tree.size == 1) maybeRootOnly += tree
     n.tree = null
     if (n.parent != null) n.parent.removeChild(n)
     n.parent = null
-    val c = tree.vertexNodeCount.getOrElse(n.v, 1) - 1
-    if (c == 0) {
-      tree.vertexNodeCount -= n.v
-      vertexTrees.get(n.v).foreach { set =>
-        set -= tree
-        if (set.isEmpty) vertexTrees -= n.v
-      }
-    } else tree.vertexNodeCount(n.v) = c
+    val next = n.nextAtPair
+    if (next != null) next.prevAtPair = n.prevAtPair
+    if (n.prevAtPair != null) n.prevAtPair.nextAtPair = next
+    else if (next != null) pairNodes(kn) = next
+    else pairNodes -= kn
+    n.prevAtPair = null
+    n.nextAtPair = null
   }
 
   // ----------------------------------------------------- extension traversal
@@ -185,7 +193,9 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   protected final val frames = mutable.Stack.empty[Frame]
 
   /** Add edge `u -l-> v` to the window graph and extend Δ: every tree holding
-    * a valid `(u, s)` with `δ(s, l) = t` tries to add `(v, t)` under it.
+    * a valid `(u, s)` with `δ(s, l) = t` tries to add `(v, t)` under it. One
+    * traversal serves all trees; each tree sees its seeds in pair order, then
+    * newest first.
     */
   private def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
     arrival()
@@ -202,31 +212,30 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
       maybeRootOnly += tree
     }
 
-    // A traversal adds nodes only to its own tree, which already counts u, so
-    // treesOf(u) does not change while it is iterated.
-    treesOf(u).foreach { tree =>
-      traverse(tree, minTs) {
-        pairs.foreach { case (s, t) =>
-          tree.nodesFor(key(u, s)).foreach { n =>
-            if (n.ts > minTs) frames.push(Frame(n, v, t, ts))
-          }
+    traverse(minTs) {
+      pairs.foreach { case (s, t) =>
+        var n = pairNodes.getOrNull(key(u, s))
+        while (n != null) {
+          if (n.ts > minTs) frames.push(Frame(n, v, t, ts))
+          n = n.nextAtPair
         }
       }
     }
   }
 
-  /** One traversal of `tree`: clear the stack, which a traversal cut short by
-    * an exception may have left non-empty, push the frames of `seed`, and
-    * drain them. The seed frames pop in the order they were pushed, so each
-    * one's depth-first walk ends before the next one starts.
+  /** One traversal: clear the stack, which a traversal cut short by an
+    * exception may have left non-empty, push the frames of `seed`, and drain
+    * them. The seed frames pop in the order they were pushed, so each one's
+    * depth-first walk ends before the next one starts. An arrival runs one
+    * traversal for all trees; a reconnection runs them within one tree.
     */
-  protected final def traverse(tree: T, minTs: Long)(seed: => Unit): Unit = {
+  protected final def traverse(minTs: Long)(seed: => Unit): Unit = {
     frames.clear()
     seed
     var i = 0
     var j = frames.size - 1
     while (i < j) { val f = frames(i); frames(i) = frames(j); frames(j) = f; i += 1; j -= 1 }
-    drain(tree, minTs)
+    drain(minTs)
   }
 
   /** Push a frame to `(v, t)` from every valid node with a window edge into
@@ -276,11 +285,16 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val pairs = dfa.byLabel.getOrElse(label, Nil)
     if (pairs.isEmpty) return Set.empty
 
-    // the deleted edge's tree edges (u, s) -> (v, t), by tree; unlinking below changes treesOf(v)
-    val hits = treesOf(v).toList.flatMap { tree =>
-      val hs = for ((s, t) <- pairs; n <- tree.nodesFor(key(v, t))
-                    if n.parent != null && n.parent.v == u && n.parent.s == s) yield n
-      if (hs.isEmpty) Nil else List(tree -> hs)
+    // the deleted edge's tree edges (u, s) -> (v, t), grouped by tree in pair
+    // order, then newest first; unlinking below changes the pair lists
+    val hits = mutable.LinkedHashMap.empty[T, mutable.ArrayBuffer[Node]]
+    pairs.foreach { case (s, t) =>
+      var n = pairNodes.getOrNull(key(v, t))
+      while (n != null) {
+        if (n.parent != null && n.parent.v == u && n.parent.s == s)
+          hits.getOrElseUpdate(n.tree.asInstanceOf[T], mutable.ArrayBuffer.empty) += n
+        n = n.nextAtPair
+      }
     }
     if (hits.isEmpty) return Set.empty
     val t0 = System.nanoTime()
@@ -356,11 +370,14 @@ object DeltaForest {
     * intrusive doubly linked child list (`firstChild`, then `nextSib`; needed
     * by Delete's subtree unlinking), so linking and unlinking a child are O(1).
     * `tree` is the tree holding it, `null` once it has left; `nextDue` links
-    * it into its [[DueIndex]] bucket.
+    * it into its [[DueIndex]] bucket; `nextAtPair` and `prevAtPair` link it
+    * into the forest's list of the nodes of its pair, newest first.
     */
   private[core] final class Node(val v: Long, val s: Int, var parent: Node, var ts: Long) {
     private[core] var tree: Tree = null
     private[core] var nextDue: Node = null
+    private[core] var nextAtPair: Node = null
+    private[core] var prevAtPair: Node = null
     private[core] var firstChild: Node = null
     private[core] var nextSib: Node = null
     private var prevSib: Node = null
@@ -395,7 +412,6 @@ object DeltaForest {
   private[core] abstract class Tree(val rootVertex: Long, start: Int) {
     val rootNode = new Node(rootVertex, start, null, Long.MaxValue)
     private[core] var size = 0
-    private[core] val vertexNodeCount = mutable.LongMap.empty[Int]
 
     def allNodes: Iterator[Node]
     def nodesFor(k: Long): List[Node]

@@ -41,11 +41,12 @@ final class RapqEngine(
     * push the window's outgoing edges on first insertion and on every
     * freshness improvement.
     */
-  protected def drain(tree: Tree, minTs: Long): Unit =
+  protected def drain(minTs: Long): Unit =
     while (frames.nonEmpty) frames.pop() match {
       case Frame(parent, v, t, edgeTs) =>
-        // A frame's parent is still in the tree: nodes leave a tree only in
+        // A frame's parent is still in its tree: nodes leave a tree only in
         // expiry, before that tree's frames are built.
+        val tree = parent.tree.asInstanceOf[Tree]
         if (parent.ts > minTs) {
           val newTs = math.min(edgeTs, parent.ts)
           if (newTs > minTs) {
@@ -97,7 +98,7 @@ final class RapqEngine(
     expired.foreach { n =>
       if (n.ts > minTs) {
         val m = tree.nodes.getOrNull(key(n.v, n.s))
-        if (m == null || m.ts < n.ts) traverse(tree, minTs)(reopen(tree, n.v, n.s, minTs))
+        if (m == null || m.ts < n.ts) traverse(minTs)(reopen(tree, n.v, n.s, minTs))
       }
     }
     expired

@@ -67,20 +67,22 @@ final class RspqEngine(
     * the pruning cases at pop time, so ordering does not affect the result
     * set. Throws [[RspqBudgetExceeded]] past the per-tuple budget.
     */
-  protected def drain(tree: Tree, minTs: Long): Unit =
+  protected def drain(minTs: Long): Unit =
     while (frames.nonEmpty) frames.pop() match {
       case Frame(parent, v, t, edgeTs) =>
         steps += 1
         if (steps > stepBudgetPerTuple) throw new RspqBudgetExceeded(stepBudgetPerTuple)
-        // A frame's parent is still in the tree: nodes leave a tree only in
+        // A frame's parent is still in its tree: nodes leave a tree only in
         // expiry, before that tree's frames are built.
-        if (parent.ts > minTs) {
+        val tree = parent.tree.asInstanceOf[Tree]
+        // Case 2 — a marked pair is pruned whatever the prefix path holds.
+        if (parent.ts > minTs && !tree.markings.contains(key(v, t))) {
           // prefix-path states at vertex v; head == FIRST(p[v]) (closest to root)
           var statesAtV = List.empty[Int]
           var cur = parent
           while (cur != null) { if (cur.v == v) statesAtV ::= cur.s; cur = cur.parent }
 
-          if (!statesAtV.contains(t) && !tree.markings.contains(key(v, t))) {
+          if (!statesAtV.contains(t)) {
             if (statesAtV.nonEmpty && !containment.superset(statesAtV.head, t)) {
               // Case 3 — conflict at v between FIRST(p[v]) and t: do not extend;
               // unmark the prefix path so pruned alternatives are re-explored.
@@ -95,7 +97,7 @@ final class RspqEngine(
                 parent.addChild(node)
                 addNode(tree, node)
                 if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
-                if (wasAbsent) tree.markings += key(v, t)
+                if (wasAbsent) tree.markings(key(v, t)) = ()
                 val out = graph.outOf(v)
                 var i = 0
                 while (i < out.size) {
@@ -116,7 +118,7 @@ final class RspqEngine(
     */
   private def unmark(tree: Tree, from: Node, minTs: Long): Unit = {
     var cur = from
-    while (cur != null && tree.markings.remove(key(cur.v, cur.s))) {
+    while (cur != null && tree.markings.remove(key(cur.v, cur.s)).isDefined) {
       reopen(tree, cur.v, cur.s, minTs)
       cur = cur.parent
     }
@@ -131,9 +133,9 @@ final class RspqEngine(
     */
   protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {
     // one node per marked pair: a pair's marking is removed only once
-    val marked = expired.filter(n => tree.markings.remove(key(n.v, n.s)))
+    val marked = expired.filter(n => tree.markings.remove(key(n.v, n.s)).isDefined)
     steps = 0 // expiry gets its own budget window
-    traverse(tree, minTs)(marked.foreach(n => reopen(tree, n.v, n.s, minTs)))
+    traverse(minTs)(marked.foreach(n => reopen(tree, n.v, n.s, minTs)))
     marked
   }
 
@@ -145,7 +147,7 @@ final class RspqEngine(
 
   /** Marked pairs of tree `T_x`. */
   def markedPairs(x: Long): Set[(Long, Int)] =
-    trees.get(x).iterator.flatMap(_.markings)
+    trees.get(x).iterator.flatMap(_.markings.keysIterator)
       .map(k => (Math.floorDiv(k, dfa.k.toLong), Math.floorMod(k, dfa.k.toLong).toInt)).toSet
 }
 
@@ -154,8 +156,9 @@ object RspqEngine {
 
   /** Traversal tree `T_x` with its markings `M_x`; unlike RAPQ, several
     * nodes may share one `(v, s)` pair. Each pair's nodes are listed newest
-    * first, which fixes the order of Extend's frames and of expiry's
-    * reconnection, so a stream always yields the same markings and conflicts.
+    * first, as the forest's pair lists hold them, which fixes the order of
+    * Extend's frames and of expiry's reconnection, so a stream always yields
+    * the same markings and conflicts.
     * Seeding a pair from its newest node first, as a LIFO stack of
     * insertion-ordered nodes did, keeps Extend's work down: seeding oldest
     * first took a third more extension steps on the SO-like stream.
@@ -163,7 +166,8 @@ object RspqEngine {
   private[core] final class Tree(x: Long, start: Int, rootKey: Long)
       extends DeltaForest.Tree(x, start) {
     val nodes = mutable.LongMap.empty[List[Node]]
-    val markings = mutable.Set(rootKey)
+    /** `M_x`, as a key set: a primitive-keyed map to `()`. */
+    val markings = mutable.LongMap(rootKey -> (()))
 
     def allNodes: Iterator[Node] = nodes.valuesIterator.flatten
     def nodesFor(k: Long): List[Node] = nodes.getOrElse(k, Nil)

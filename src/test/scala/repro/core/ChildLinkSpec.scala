@@ -9,7 +9,8 @@ import repro.data.StreamGen
 import repro.stream.{Sgt, WindowSpec}
 
 /** The intrusive child lists of Δ's nodes stay in step with their parent
-  * pointers through Insert's re-parenting, expiry and Delete.
+  * pointers, and the pair→nodes lists with the trees' own node stores,
+  * through Insert's re-parenting, expiry and Delete.
   */
 class ChildLinkSpec extends AnyFunSuite {
   import DeltaForest.Node
@@ -40,16 +41,50 @@ class ChildLinkSpec extends AnyFunSuite {
     }
   }
 
+  /** Each pair's list holds exactly the live nodes of that pair, once each,
+    * with mutual `prevAtPair`/`nextAtPair` links, and lists each tree's nodes
+    * of the pair in that tree's `nodesFor` order.
+    */
+  private def checkPairLinks(e: DeltaForest, at: String): Unit = {
+    val k = e.dfa.k.toLong
+    val live = e.trees.valuesIterator.flatMap(_.allNodes).toVector
+    val listed = e.pairNodes.toVector.map { case (key, head) =>
+      assert(head.prevAtPair == null, s"$at: the head of pair $key has a predecessor")
+      val list = Iterator.iterate(head)(_.nextAtPair).takeWhile(_ != null).toVector
+      list.sliding(2).foreach {
+        case Seq(a, b) => assert(b.prevAtPair eq a, s"$at: pair $key links are not mutual")
+        case _         =>
+      }
+      list.foreach { n =>
+        assert(n.tree != null, s"$at: (${n.v}, ${n.s}) left its tree but is listed")
+        assert(n.v * k + n.s == key, s"$at: (${n.v}, ${n.s}) is listed under pair $key")
+      }
+      list.groupBy(_.tree).foreach { case (tree, ns) =>
+        assert(ns.toList == tree.nodesFor(key), s"$at: pair $key is out of its tree's order")
+      }
+      list
+    }
+    val all = listed.flatten
+    assert(all.size == all.toSet.size, s"$at: a node is listed twice")
+    assert(all.toSet == live.toSet, s"$at: the pair lists do not hold exactly the live nodes")
+  }
+
   private val patterns = Seq("a b*", "(a | b | c)+", "(a b)+")
 
   for (p <- patterns; (name, engine) <- Seq[(String, (Dfa, WindowSpec) => DeltaForest)](
          "RAPQ" -> ((d, w) => new RapqEngine(d, w)),
-         "RSPQ" -> ((d, w) => new RspqEngine(d, w))))
-    test(s"[$name, $p] child lists match parent pointers after every tuple") {
+         "RSPQ" -> ((d, w) => new RspqEngine(d, w)))) {
+    def checkAfterEveryTuple(check: (DeltaForest, String) => Unit): Unit = {
       val e = engine(Dfa.fromPattern(p), WindowSpec(size = 35, slide = 7))
       randomStream(300, nV = 8, seed = 11 + p.length).foreach { t =>
         e.processTuple(t)
-        checkLinks(e, s"ts=${t.ts} ${t.op}")
+        check(e, s"ts=${t.ts} ${t.op}")
       }
     }
+
+    test(s"[$name, $p] child lists match parent pointers after every tuple")(checkAfterEveryTuple(checkLinks))
+
+    test(s"[$name, $p] pair lists hold each pair's live nodes after every tuple")(
+      checkAfterEveryTuple(checkPairLinks))
+  }
 }

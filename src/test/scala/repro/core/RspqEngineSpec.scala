@@ -243,4 +243,52 @@ class RspqEngineSpec extends AnyFunSuite {
     val diverged = first.zip(replay()).indexWhere { case (a, b) => a != b }
     assert(diverged == -1, s"(conflicts, nodes) differ between replays from tuple $diverged")
   }
+
+  test("Extend, expiry and Delete do the same work at fixed checkpoints of fixed streams") {
+    // (emissionCount, conflictCount, numNodes) after every `every` tuples.
+    // Extend's emissions, conflicts and markings follow the order in which
+    // each tree's frames are seeded and popped, so these sequences pin that
+    // order down, not only the result set.
+    def workAt(stream: Seq[Sgt], dfa: Dfa, w: WindowSpec, every: Int): Seq[String] = {
+      val e = new RspqEngine(dfa, w, collectResults = false)
+      stream.zipWithIndex.flatMap { case (t, i) =>
+        e.processTuple(t)
+        if ((i + 1) % every == 0) Some(s"${e.emissionCount} ${e.conflictCount} ${e.numNodes}") else None
+      }
+    }
+    val q11 = Queries.so.find(_.name == "Q11").get
+    // each deletion removes one of the 100 latest inserts, mostly still in the window
+    val abStream = {
+      val rnd = new Random(61)
+      val recent = scala.collection.mutable.ArrayBuffer.empty[Sgt]
+      (1 to 1500).map { i =>
+        if (recent.nonEmpty && rnd.nextDouble() < 0.15) {
+          val d = recent.remove(recent.length - 1 - rnd.nextInt(recent.length.min(100)))
+          Sgt(i.toLong, d.src, d.dst, d.label, Op.Delete)
+        } else {
+          val t = Sgt(i.toLong, rnd.nextInt(30).toLong, rnd.nextInt(30).toLong, Seq("a", "b")(rnd.nextInt(2)))
+          recent += t
+          t
+        }
+      }
+    }
+    val cases = Seq(
+      "so Q11" -> workAt(StreamGen.soLike(600, 6000, 7), q11.dfa, WindowSpec(1500, 50), 500),
+      "(a b)+ with deletions" -> workAt(abStream, Dfa.fromPattern("(a b)+"), WindowSpec(120, 10), 150),
+    )
+    val expected = Seq(
+      "1557 1549 3530;5678 7044 11411;11458 17471 23615;21721 29188 24983;32979 40840 26283;" +
+      "43859 52560 26104;54671 63117 25722;67294 74547 27010;76040 86780 25653;86452 95534 26267;" +
+      "96658 106258 23967;105960 117756 23548",
+      "844 734 620;13402 13246 4386;25320 25344 3294;29933 28537 867;34412 32241 2422;" +
+      "43607 39824 1756;65622 61588 8665;78496 76134 2608;84997 82846 3850;102240 98752 3841",
+    )
+    cases.zip(expected).foreach { case ((name, actual), want) =>
+      val wanted = want.split(';').toSeq
+      val diverged = actual.zip(wanted).indexWhere { case (a, b) => a != b }
+      if (diverged >= 0)
+        fail(s"[$name] checkpoint $diverged: got ${actual(diverged)}, want ${wanted(diverged)}")
+      assert(actual.size == wanted.size, s"[$name] checkpoints")
+    }
+  }
 }

@@ -3,7 +3,7 @@
 
 Usage:
 
-    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] [--callees TEXT] a.jfr [b.jfr ...]
+    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] [--callees TEXT] [--owner PREFIX] a.jfr [b.jfr ...]
 
 Reads the `jdk.ExecutionSample` events of every file (through the JDK's `jfr`
 tool) and pools them. Prints each frame's share of all samples as self time
@@ -13,7 +13,11 @@ prints, for the samples whose stack holds a frame whose label contains TEXT,
 the share of each caller of the topmost such frame. With `--callees TEXT`, it
 splits the samples whose stack holds a frame whose label contains TEXT by the
 frame that the outermost such frame calls directly, `(self)` when it is the
-sample's top frame, as shares of those samples. A frame's label is
+sample's top frame, as shares of those samples. With `--owner PREFIX`, it also
+credits each sample to its owner, the topmost frame whose fully qualified class
+name starts with PREFIX (`(none)` if no frame does), and prints the shares of
+(owner, top frame) pairs: a library frame such as `LongMap.seekEntry` then
+shows which of the program's methods it ran for. A frame's label is
 `Class.method`, with the class name stripped of its package.
 """
 
@@ -24,21 +28,24 @@ import subprocess
 import sys
 
 
+def qualified(frame):
+    return frame["method"]["type"]["name"].replace("/", ".")
+
+
 def label(frame):
-    method = frame["method"]
-    cls = method["type"]["name"].replace("/", ".").rsplit(".", 1)[-1]
-    return f"{cls}.{method['name']}"
+    return f"{qualified(frame).rsplit('.', 1)[-1]}.{frame['method']['name']}"
 
 
 def stacks(path, depth):
-    """Stacks of the file's execution samples, top frame first."""
+    """Stacks of the file's execution samples, top frame first, as lists of
+    (fully qualified class name, label) pairs."""
     out = subprocess.run(
         ["jfr", "print", "--json", "--events", "jdk.ExecutionSample", "--stack-depth", str(depth), path],
         check=True, capture_output=True, text=True).stdout
     for event in json.loads(out)["recording"]["events"]:
         trace = event["values"].get("stackTrace")
         if trace and trace["frames"]:
-            yield [label(f) for f in trace["frames"]]
+            yield [(qualified(f), label(f)) for f in trace["frames"]]
 
 
 def table(title, counts, total, top):
@@ -54,13 +61,19 @@ def main():
     ap.add_argument("--depth", type=int, default=64, help="stack frames read per sample")
     ap.add_argument("--callers", metavar="TEXT", help="also list the callers of frames containing TEXT")
     ap.add_argument("--callees", metavar="TEXT", help="also split the outermost frame containing TEXT by callee")
+    ap.add_argument("--owner", metavar="PREFIX",
+                    help="also credit each sample to its topmost frame whose class name starts with PREFIX")
     args = ap.parse_args()
 
-    self_counts, incl_counts, callers, callees = (collections.Counter() for _ in range(4))
+    self_counts, incl_counts, callers, callees, owners = (collections.Counter() for _ in range(5))
     total = matched = outer = 0
     for path in args.files:
-        for stack in stacks(path, args.depth):
+        for frames in stacks(path, args.depth):
+            stack = [name for _, name in frames]
             total += 1
+            if args.owner:
+                owner = next((name for cls, name in frames if cls.startswith(args.owner)), "(none)")
+                owners[f"{owner} <- {stack[0]}"] += 1
             self_counts[stack[0]] += 1
             incl_counts.update(set(stack))
             if args.callers:
@@ -86,6 +99,8 @@ def main():
         print(f"frames containing {args.callees!r}, outermost: {outer} samples ({100.0 * outer / total:.1f}%)")
         if outer:
             table("their direct callees, as shares of these samples", callees, outer, args.top)
+    if args.owner:
+        table(f"owner (topmost {args.owner}* frame) <- top frame", owners, total, args.top)
 
 
 if __name__ == "__main__":
