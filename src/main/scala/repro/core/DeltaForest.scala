@@ -12,10 +12,11 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * timestamp. It owns the window graph, the lazy-expiration clock (§2), the
   * pair→nodes index, Algorithm Delete (§3.2) and the expiry loop.
   *
-  * The pair→nodes index lists, for each `(v, s)`, its nodes in every tree,
-  * newest first: a map from the pair's key to its newest node, and from there
-  * the intrusive `nextAtPair` links. Arrivals seed their frames from it, and
-  * Delete walks it to find the deleted edge's tree edges.
+  * The pair→nodes index is the one node store: each pair `(v, s)` lists its
+  * nodes in every tree through intrusive `nextAtPair` links, a tree's nodes
+  * adjacent and newest first, from its head in `pairNodes`; each tree keys
+  * its newest node of the pair. Arrivals seed from the lists, Delete finds
+  * the deleted edge's tree edges in them, and [[reopen]] walks one tree's.
   *
   * Slide expiry visits only what is due: every non-root node is filed in a
   * [[DueIndex]] under its timestamp's slide-sized bucket, and a slide pops
@@ -63,9 +64,9 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // Cumulative slide pop counts: every popped node is expired, filed again,
   // or dropped because it already left its tree.
   private[core] var duePopped, dueExpired, dueRefiled = 0L
-  // Pair index: key(v, s) -> the pair's newest node in any tree; the others follow through `nextAtPair`.
+  // Pair index: key(v, s) -> the head of the pair's list; the others follow through `nextAtPair`.
   private[core] val pairNodes = mutable.LongMap.empty[Node]
-  private val maybeRootOnly = mutable.ArrayBuffer.empty[T] // trees created or shrunk to root since last slide
+  private val maybeRootOnly = mutable.ArrayBuffer.empty[Tree] // trees created or shrunk to root since last slide
   private val clock = new SlideClock(window.slide)
 
   private val k = dfa.k
@@ -79,19 +80,25 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   def numNodes: Long = trees.valuesIterator.map(_.size.toLong).sum
 
   /** Process one streaming graph tuple (insert or explicit delete). */
-  final def processTuple(t: Sgt): Unit = {
-    requireVertices(t.src, t.dst)
-    if (clock.tick(t.ts)) forceExpiry(t.ts)
-    t.op match {
-      case Op.Insert => insertEdge(t.ts, t.src, t.dst, t.label)
-      case Op.Delete => deleteEdge(t.ts, t.src, t.dst, t.label)
-    }
+  final def processTuple(t: Sgt): Unit = t.op match {
+    case Op.Insert => admit(t.ts, t.src, t.dst); insertEdge(t.ts, t.src, t.dst, t.label)
+    case Op.Delete => deleteEdge(t.ts, t.src, t.dst, t.label)
+  }
+
+  /** Accept a tuple at `ts` on `u → v`, running the slide's expiry if due, or
+    * throw an `IllegalArgumentException` for an id out of range or a late `ts`.
+    */
+  private def admit(ts: Long, u: Long, v: Long): Unit = {
+    requireVertices(u, v)
+    if (clock.tick(ts)) forceExpiry(ts)
   }
 
   /** Run an expiry pass as of time `ts`: on every slide, and from tests and
-    * at end-of-stream so the index reflects exactly the final window.
+    * at end-of-stream so the index reflects exactly the final window. Later
+    * tuples must not be below `ts`, which the window has already moved past.
     */
   final def forceExpiry(ts: Long): Unit = {
+    clock.raise(ts)
     val minTs = window.lowerBound(ts)
     graph.pruneExpired(minTs)
     val t0 = System.nanoTime()
@@ -153,36 +160,42 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
   // ------------------------------------------------------- index bookkeeping
 
-  /** Store node `n` in `tree`, link it at the head of its pair's list and,
-    * unless it is the root, file it for expiry.
+  /** Store node `n` as `tree`'s newest of its pair: link it in front of the
+    * tree's newest node of the pair, or at the head of the pair's list if the
+    * tree has none, and, unless it is the root, file it for expiry.
     */
   protected final def addNode(tree: T, n: Node): Unit = {
     val kn = key(n.v, n.s)
-    tree.add(kn, n)
+    val newest = tree.nodes.getOrNull(kn)
+    val next = if (newest != null) newest else pairNodes.getOrNull(kn)
+    val prev = if (next != null) next.prevAtPair else null
+    n.nextAtPair = next
+    n.prevAtPair = prev
+    if (next != null) next.prevAtPair = n
+    if (prev != null) prev.nextAtPair = n else pairNodes(kn) = n
+    tree.nodes(kn) = n
     tree.size += 1
     n.tree = tree
     if (n ne tree.rootNode) due.file(n)
-    val head = pairNodes.getOrNull(kn)
-    n.nextAtPair = head
-    if (head != null) head.prevAtPair = n
-    pairNodes(kn) = n
   }
 
   /** Take node `n` out of its tree, and out of its pair's list in O(1). */
   private def unlink(n: Node): Unit = {
-    val tree = n.tree.asInstanceOf[T]
+    val tree = n.tree
     val kn = key(n.v, n.s)
-    tree.remove(kn, n)
+    val next = n.nextAtPair
+    if (tree.nodes.getOrNull(kn) eq n) {
+      if (next != null && (next.tree eq tree)) tree.nodes(kn) = next else tree.nodes.subtractOne(kn)
+    }
     tree.size -= 1
     if (tree.size == 1) maybeRootOnly += tree
     n.tree = null
     if (n.parent != null) n.parent.removeChild(n)
     n.parent = null
-    val next = n.nextAtPair
     if (next != null) next.prevAtPair = n.prevAtPair
     if (n.prevAtPair != null) n.prevAtPair.nextAtPair = next
     else if (next != null) pairNodes(kn) = next
-    else pairNodes -= kn
+    else pairNodes.subtractOne(kn)
     n.prevAtPair = null
     n.nextAtPair = null
   }
@@ -252,8 +265,10 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
         var q = 0
         while (q < k) {
           if (dfa.step(q, l) == t) {
-            tree.nodesFor(key(src, q)).foreach { m =>
+            var m = tree.nodes.getOrNull(key(src, q))
+            while (m != null && (m.tree eq tree)) {
               if (m.ts > minTs) frames.push(Frame(m, v, t, ets))
+              m = m.nextAtPair
             }
           }
           q += 1
@@ -266,7 +281,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // ------------------------------------------------------------------ expiry
 
   /** Drop `tree` from Δ once it holds only its root. */
-  private def dropTree(tree: T): Unit = {
+  private def dropTree(tree: Tree): Unit = {
     unlink(tree.rootNode)
     trees -= tree.rootVertex
   }
@@ -274,24 +289,28 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // ------------------------------------------------------------------ delete
 
   /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
-    * matching the deleted edge disconnect their subtree; each affected tree
-    * unlinks those subtrees and every node that left the window, and the
-    * engine reconnects what valid edges still reach, reading each unlinked
-    * node's `ts`. Returns the invalidated `(x, v)` pairs.
+    * matching the deleted edge disconnect their subtree: a node `(v, t)`
+    * under `(u, s)` with `δ(s, l) = t` and a `ts` no later than the edge's (a
+    * later one came in by another label with the same transition). Each
+    * affected tree unlinks those subtrees and every node that left the window,
+    * and the engine reconnects what valid edges still reach, reading each
+    * unlinked node's `ts`. Returns the invalidated `(x, v)` pairs. Admitted
+    * like [[processTuple]]'s tuples: it may run the slide's expiry first.
     */
-  def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
-    requireVertices(u, v)
+  final def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
+    admit(ts, u, v)
+    val edgeTs = graph.timestamp(u, v, label).getOrElse(Long.MinValue)
     if (!graph.remove(u, v, label)) return Set.empty
     val pairs = dfa.byLabel.getOrElse(label, Nil)
     if (pairs.isEmpty) return Set.empty
 
-    // the deleted edge's tree edges (u, s) -> (v, t), grouped by tree in pair
-    // order, then newest first; unlinking below changes the pair lists
+    // the deleted edge's tree edges (u, s) -> (v, t), grouped by tree in the
+    // order of the pair lists; unlinking below changes those lists
     val hits = mutable.LinkedHashMap.empty[T, mutable.ArrayBuffer[Node]]
     pairs.foreach { case (s, t) =>
       var n = pairNodes.getOrNull(key(v, t))
       while (n != null) {
-        if (n.parent != null && n.parent.v == u && n.parent.s == s)
+        if (n.parent != null && n.parent.v == u && n.parent.s == s && n.ts <= edgeTs)
           hits.getOrElseUpdate(n.tree.asInstanceOf[T], mutable.ArrayBuffer.empty) += n
         n = n.nextAtPair
       }
@@ -303,12 +322,13 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     hits.foreach { case (tree, hs) =>
       val lost = mutable.ArrayBuffer.empty[Node]
       hs.foreach(h => if (h.tree != null) unlinkSubtree(h, lost)) // else under an earlier hit
-      val stale = tree.allNodes.filter(n => (n ne tree.rootNode) && n.ts <= minTs).toList
+      val stale = mutable.ArrayBuffer.empty[Node]
+      tree.foreachNode(n => if ((n ne tree.rootNode) && n.ts <= minTs) stale += n)
       stale.foreach(unlink)
       // a result is invalidated when its final pair stayed disconnected
       reconnect(tree, (lost ++= stale).toArray, minTs).foreach { n =>
         if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
-            tree.nodesFor(key(n.v, n.s)).isEmpty)
+            !tree.nodes.contains(key(n.v, n.s)))
           invalidated += ((tree.rootVertex, n.v))
       }
       if (tree.size <= 1) dropTree(tree)
@@ -345,7 +365,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val minTs = window.lowerBound(ts)
     val out = mutable.Set.empty[(Long, Long)]
     trees.valuesIterator.foreach { tree =>
-      tree.allNodes.foreach { n =>
+      tree.foreachNode { n =>
         if ((n ne tree.rootNode) && n.ts > minTs && dfa.isFinal(n.s) &&
             (selfPairs || n.v != tree.rootVertex))
           out += ((tree.rootVertex, n.v))
@@ -355,8 +375,11 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   }
 
   /** Nodes of tree `T_x` (none if no tree is rooted at `x`), for test views. */
-  protected final def nodesOf(x: Long): Seq[Node] =
-    trees.get(x).iterator.flatMap(_.allNodes).toSeq
+  protected final def nodesOf(x: Long): Seq[Node] = {
+    val out = mutable.ArrayBuffer.empty[Node]
+    trees.get(x).foreach(_.foreachNode(out += _))
+    out.toSeq
+  }
 }
 
 object DeltaForest {
@@ -408,14 +431,22 @@ object DeltaForest {
     }
   }
 
-  /** One spanning tree `T_x`; subclasses own the node storage. */
-  private[core] abstract class Tree(val rootVertex: Long, start: Int) {
+  /** One spanning tree `T_x` (a RAPQ tree as is). `nodes` maps `key(v, s)` to
+    * its newest node of the pair; a RAPQ tree has at most one, and an RSPQ
+    * tree's others follow it in the pair's list. Newest first fixes the order
+    * of Extend's frames and expiry's reconnection, so a stream always yields
+    * the same markings; oldest first took a third more steps on SO-like data.
+    */
+  private[core] class Tree(val rootVertex: Long, start: Int) {
     val rootNode = new Node(rootVertex, start, null, Long.MaxValue)
     private[core] var size = 0
+    private[core] val nodes = mutable.LongMap.empty[Node]
 
-    def allNodes: Iterator[Node]
-    def nodesFor(k: Long): List[Node]
-    def add(k: Long, n: Node): Unit
-    def remove(k: Long, n: Node): Unit
+    /** Apply `f` to every node, pair by pair in `nodes` order, newest first. */
+    final def foreachNode(f: Node => Unit): Unit =
+      nodes.foreachValue { newest =>
+        var n = newest
+        while (n != null && (n.tree eq this)) { f(n); n = n.nextAtPair }
+      }
   }
 }

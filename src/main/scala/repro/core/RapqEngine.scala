@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 import repro.automaton.Dfa
 import repro.stream.WindowSpec
 
@@ -9,8 +7,9 @@ import repro.stream.WindowSpec
   * time-based sliding window (paper §3: Algorithms RAPQ, Insert, ExpiryRAPQ
   * and §3.2: Delete). The Δ tree index, the window clock, Delete and the
   * extension traversal live in [[DeltaForest]]; this engine adds Insert's
-  * rule and Delete's choice of what to reconnect. Each tree holds at most
-  * one node per `(v, s)` pair.
+  * rule and Delete's choice of what to reconnect. Its trees are the forest's
+  * own [[DeltaForest.Tree]]s, each holding at most one node per `(v, s)`
+  * pair.
   *
   * Faithfulness notes (see DESIGN.md §3):
   *   - `drain` re-parents a pre-existing node onto a fresher path and
@@ -25,8 +24,7 @@ final class RapqEngine(
     window: WindowSpec,
     collectResults: Boolean = true,
 ) extends DeltaForest(dfa, window, collectResults) {
-  import DeltaForest.{Frame, Node}
-  import RapqEngine.Tree
+  import DeltaForest.{Frame, Node, Tree}
 
   protected type T = Tree
 
@@ -46,7 +44,7 @@ final class RapqEngine(
       case Frame(parent, v, t, edgeTs) =>
         // A frame's parent is still in its tree: nodes leave a tree only in
         // expiry, before that tree's frames are built.
-        val tree = parent.tree.asInstanceOf[Tree]
+        val tree = parent.tree
         if (parent.ts > minTs) {
           val newTs = math.min(edgeTs, parent.ts)
           if (newTs > minTs) {
@@ -117,21 +115,4 @@ final class RapqEngine(
     nodesOf(x).collect {
       case n if n.parent != null => (n.v, n.s) -> ((n.parent.v, n.parent.s))
     }.toMap
-}
-
-object RapqEngine {
-  import DeltaForest.Node
-
-  /** One spanning tree `T_x` with a hash node index (paper §5.1.1). */
-  private[core] final class Tree(x: Long, start: Int) extends DeltaForest.Tree(x, start) {
-    val nodes = mutable.LongMap.empty[Node]
-
-    def allNodes: Iterator[Node] = nodes.valuesIterator
-    def nodesFor(k: Long): List[Node] = {
-      val n = nodes.getOrNull(k)
-      if (n == null) Nil else n :: Nil
-    }
-    def add(k: Long, n: Node): Unit = nodes(k) = n
-    def remove(k: Long, n: Node): Unit = nodes -= k
-  }
 }

@@ -20,8 +20,9 @@ final class RspqBudgetExceeded(val budget: Long)
   *
   * Differences from [[RapqEngine]] (paper §4.1):
   *   - a spanning tree may hold *several* nodes for the same `(v, s)` pair
-  *     when conflicts force re-traversal, so the node index maps a pair to a
-  *     set of tree nodes;
+  *     when conflicts force re-traversal: the tree keys its newest one, and
+  *     the others follow it in the forest's pair list (see
+  *     [[DeltaForest.Tree]]);
   *   - a markings set `M_x` per tree prunes re-visits (case 2); a pair is
   *     marked on its first insertion and unmarked when one of its descendants
   *     becomes a conflict predecessor (Definition 18), which re-opens the
@@ -92,7 +93,7 @@ final class RspqEngine(
               // Case 4 — extend the path with (v, t).
               val ts = math.min(edgeTs, parent.ts)
               if (ts > minTs) {
-                val wasAbsent = tree.nodesFor(key(v, t)).isEmpty
+                val wasAbsent = !tree.nodes.contains(key(v, t))
                 val node = new Node(v, t, parent, ts)
                 parent.addChild(node)
                 addNode(tree, node)
@@ -152,29 +153,12 @@ final class RspqEngine(
 }
 
 object RspqEngine {
-  import DeltaForest.Node
 
-  /** Traversal tree `T_x` with its markings `M_x`; unlike RAPQ, several
-    * nodes may share one `(v, s)` pair. Each pair's nodes are listed newest
-    * first, as the forest's pair lists hold them, which fixes the order of
-    * Extend's frames and of expiry's reconnection, so a stream always yields
-    * the same markings and conflicts.
-    * Seeding a pair from its newest node first, as a LIFO stack of
-    * insertion-ordered nodes did, keeps Extend's work down: seeding oldest
-    * first took a third more extension steps on the SO-like stream.
+  /** Traversal tree `T_x` with its markings `M_x`, as a key set: a
+    * primitive-keyed map to `()`. Its nodes are stored as a RAPQ tree's.
     */
   private[core] final class Tree(x: Long, start: Int, rootKey: Long)
       extends DeltaForest.Tree(x, start) {
-    val nodes = mutable.LongMap.empty[List[Node]]
-    /** `M_x`, as a key set: a primitive-keyed map to `()`. */
     val markings = mutable.LongMap(rootKey -> (()))
-
-    def allNodes: Iterator[Node] = nodes.valuesIterator.flatten
-    def nodesFor(k: Long): List[Node] = nodes.getOrElse(k, Nil)
-    def add(k: Long, n: Node): Unit = nodes(k) = n :: nodesFor(k)
-    def remove(k: Long, n: Node): Unit = nodesFor(k).filterNot(_ eq n) match {
-      case Nil  => nodes -= k
-      case rest => nodes(k) = rest
-    }
   }
 }

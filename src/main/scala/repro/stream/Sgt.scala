@@ -51,4 +51,9 @@ final class SlideClock(slide: Long) {
     else if (ts - lastExpiryAt >= slide) { lastExpiryAt = ts; true }
     else false
   }
+
+  /** Raise the latest timestamp to `ts`, never lowering it: after an expiry
+    * forced as of `ts`, a tuple below `ts` is rejected like any late one.
+    */
+  def raise(ts: Long): Unit = if (ts > latest) latest = ts
 }

@@ -9,11 +9,17 @@ import repro.data.StreamGen
 import repro.stream.{Sgt, WindowSpec}
 
 /** The intrusive child lists of Δ's nodes stay in step with their parent
-  * pointers, and the pair→nodes lists with the trees' own node stores,
+  * pointers, and the pair→nodes lists with the trees' keys into them,
   * through Insert's re-parenting, expiry and Delete.
   */
 class ChildLinkSpec extends AnyFunSuite {
   import DeltaForest.Node
+
+  private def liveNodes(e: DeltaForest): Vector[Node] = {
+    val out = Vector.newBuilder[Node]
+    e.trees.valuesIterator.foreach(_.foreachNode(out += _))
+    out.result()
+  }
 
   private def randomStream(n: Int, nV: Int, seed: Long): Vector[Sgt] = {
     val rnd = new Random(seed)
@@ -28,7 +34,7 @@ class ChildLinkSpec extends AnyFunSuite {
     * it is, once each, and no node sits in two live lists.
     */
   private def checkLinks(e: DeltaForest, at: String): Unit = {
-    val live = e.trees.valuesIterator.flatMap(_.allNodes).toVector
+    val live = liveNodes(e)
     val listedIn = scala.collection.mutable.HashMap.empty[Node, Node]
     live.foreach { n =>
       n.children.foreach { c =>
@@ -42,12 +48,20 @@ class ChildLinkSpec extends AnyFunSuite {
   }
 
   /** Each pair's list holds exactly the live nodes of that pair, once each,
-    * with mutual `prevAtPair`/`nextAtPair` links, and lists each tree's nodes
-    * of the pair in that tree's `nodesFor` order.
+    * with mutual `prevAtPair`/`nextAtPair` links. Each tree's nodes of the
+    * pair are adjacent, starting at the one the tree keys; a RAPQ tree has
+    * at most one. Each tree keys exactly the pairs it holds.
     */
   private def checkPairLinks(e: DeltaForest, at: String): Unit = {
     val k = e.dfa.k.toLong
-    val live = e.trees.valuesIterator.flatMap(_.allNodes).toVector
+    val live = liveNodes(e)
+    e.trees.valuesIterator.foreach { tree =>
+      tree.nodes.foreach { case (key, n) =>
+        assert((n.tree eq tree) && n.v * k + n.s == key, s"$at: tree ${tree.rootVertex} keys pair $key wrongly")
+      }
+      assert(tree.nodes.size == live.filter(_.tree eq tree).map(n => n.v * k + n.s).distinct.size,
+        s"$at: tree ${tree.rootVertex} does not key every pair it holds")
+    }
     val listed = e.pairNodes.toVector.map { case (key, head) =>
       assert(head.prevAtPair == null, s"$at: the head of pair $key has a predecessor")
       val list = Iterator.iterate(head)(_.nextAtPair).takeWhile(_ != null).toVector
@@ -59,8 +73,17 @@ class ChildLinkSpec extends AnyFunSuite {
         assert(n.tree != null, s"$at: (${n.v}, ${n.s}) left its tree but is listed")
         assert(n.v * k + n.s == key, s"$at: (${n.v}, ${n.s}) is listed under pair $key")
       }
-      list.groupBy(_.tree).foreach { case (tree, ns) =>
-        assert(ns.toList == tree.nodesFor(key), s"$at: pair $key is out of its tree's order")
+      // the list cut into runs of one tree each
+      val runs = list.foldRight(List.empty[Vector[Node]]) {
+        case (n, run :: rest) if run.head.tree eq n.tree => (n +: run) :: rest
+        case (n, runs)                                   => Vector(n) :: runs
+      }
+      assert(runs.map(_.head.tree).distinct.size == runs.size, s"$at: a tree's nodes of pair $key are not adjacent")
+      runs.foreach { run =>
+        assert(run.head.tree.nodes.getOrNull(key) eq run.head,
+          s"$at: pair $key's run in tree ${run.head.tree.rootVertex} does not start at the node it keys")
+        if (e.isInstanceOf[RapqEngine])
+          assert(run.size == 1, s"$at: a RAPQ tree holds ${run.size} nodes of pair $key")
       }
       list
     }

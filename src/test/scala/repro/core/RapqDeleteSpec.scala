@@ -124,6 +124,38 @@ class RapqDeleteSpec extends AnyFunSuite {
     assert(e.currentResults(17) == BatchRpq.evaluateWindow(e.graph, e.window.lowerBound(17), e.dfa))
   }
 
+  test("deleting a stored edge that already left the window changes no result") {
+    // slide 1000 outlasts the stream, so no tuple prunes: a deleted edge whose
+    // timestamp has left the window is still stored, and its nodes have
+    // expired lazily. The twin engine that never deletes must agree after
+    // every forced expiry.
+    val w = WindowSpec(10, 1000)
+    for (p <- Seq("a b*", "(a | b | c)+"); rapq <- Seq(true, false)) {
+      val kind = if (rapq) "RAPQ" else "RSPQ"
+      def make(): DeltaForest =
+        if (rapq) new RapqEngine(Dfa.fromPattern(p), w) else new RspqEngine(Dfa.fromPattern(p), w)
+      val (del, keep) = (make(), make())
+      val rnd = new Random(59 + p.length)
+      var touched = 0
+      (1L to 120L).foreach { ts =>
+        val t = Sgt(ts, rnd.nextInt(6).toLong, rnd.nextInt(6).toLong, Seq("a", "b", "c")(rnd.nextInt(3)))
+        del.processTuple(t)
+        keep.processTuple(t)
+        if (ts % 4 == 0) del.graph.edges.find(_.ts <= w.lowerBound(ts)).foreach { x =>
+          val nodes = del.numNodes
+          del.deleteEdge(ts, x.src, x.dst, x.label)
+          if (del.numNodes < nodes) touched += 1
+        }
+        if (ts % 8 == 0) {
+          del.forceExpiry(ts)
+          keep.forceExpiry(ts)
+          assert(del.currentResults(ts) == keep.currentResults(ts), s"[$kind, $p] at ts=$ts")
+        }
+      }
+      assert(touched > 0, s"[$kind, $p] no delete reached a lazily expired node")
+    }
+  }
+
   // (pattern, vertices, tuples, deletion ratio). (b a c a)+ gives label a two
   // pairs with different targets, so one Delete can hit a node and its
   // ancestor; that needs a denser stream to show up.

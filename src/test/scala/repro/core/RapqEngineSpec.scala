@@ -120,6 +120,27 @@ class RapqEngineSpec extends AnyFunSuite {
       e.processTuple(Sgt(100, 5, 6, "a")) // equal timestamps stay legal
       assert(e.results.toSet == Set((1L, 2L), (5L, 6L)))
     }
+    // an expiry forced as of ts, and a delete at ts, move the clock to ts as
+    // a tuple at ts does: the window has moved past what a later tuple below
+    // ts would read. (1, 3) below is in the window at ts = 11, but the
+    // forced expiry has already dropped 1 -a-> 2
+    for (e <- Seq[DeltaForest](new RapqEngine(Dfa.fromPattern("a b"), WindowSpec(30, 10)),
+                               new RspqEngine(Dfa.fromPattern("a b"), WindowSpec(30, 10)))) {
+      e.processTuple(Sgt(10, 1, 2, "a"))
+      e.forceExpiry(100)
+      intercept[IllegalArgumentException](e.processTuple(Sgt(11, 2, 3, "b")))
+      assert(e.graph.numEdges == 0, "a rejected tuple leaves no trace")
+    }
+    // accepted, 2 -b-> 4 at ts = 3 would find 1 -a-> 2 (ts 1) outside the
+    // window as of the delete at ts = 50
+    for (e <- Seq[DeltaForest](new RapqEngine(Dfa.fromPattern("a b*"), WindowSpec(10, 100)),
+                               new RspqEngine(Dfa.fromPattern("a b*"), WindowSpec(10, 100)))) {
+      e.processTuple(Sgt(1, 1, 2, "a"))
+      e.processTuple(Sgt(2, 2, 3, "b"))
+      e.deleteEdge(50, 2, 3, "b")
+      intercept[IllegalArgumentException](e.processTuple(Sgt(3, 2, 4, "b")))
+      assert(e.graph.numEdges == 1, "a rejected tuple leaves no trace")
+    }
     val base = new PersistentBatchBaseline(dfa, w)
     base.processTuple(Sgt(100, 1, 2, "a"))
     intercept[IllegalArgumentException](base.processTuple(Sgt(50, 3, 4, "a")))

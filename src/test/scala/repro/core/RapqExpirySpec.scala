@@ -132,7 +132,11 @@ class RapqExpirySpec extends AnyFunSuite {
       val e = new RapqEngine(Dfa.fromPattern("(a | b | c)+"), WindowSpec(30, 5))
       val rnd = new scala.util.Random(47)
       val live = scala.collection.mutable.ArrayBuffer.empty[Sgt]
-      def nodes = e.trees.valuesIterator.flatMap(_.allNodes).toSet
+      def nodes = {
+        val out = Set.newBuilder[DeltaForest.Node]
+        e.trees.valuesIterator.foreach(_.foreachNode(out += _))
+        out.result()
+      }
       (1L to 1500L).foreach { ts =>
         val (before, numNodes, numTrees) = (nodes, e.numNodes, e.numTrees)
         val (expired, emitted) = (e.dueExpired, e.emissionCount)
