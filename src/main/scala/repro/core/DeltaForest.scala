@@ -15,8 +15,9 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * The pair→nodes index is the one node store: each pair `(v, s)` lists its
   * nodes in every tree through intrusive `nextAtPair` links, a tree's nodes
   * adjacent and newest first, from its head in `pairNodes`; each tree keys
-  * its newest node of the pair. Arrivals seed from the lists, Delete finds
-  * the deleted edge's tree edges in them, and [[reopen]] walks one tree's.
+  * its newest node of the pair in its [[NodeTable]]. Arrivals seed from the
+  * lists, Delete finds the deleted edge's tree edges in them, and [[reopen]]
+  * walks one tree's.
   *
   * Slide expiry visits only what is due: every non-root node is filed in a
   * [[DueIndex]] under its timestamp's slide-sized bucket, and a slide pops
@@ -24,21 +25,23 @@ import repro.stream.{Op, Sgt, SlideClock, SnapshotGraph, WindowSpec}
   * left the window (a RAPQ slide unlinks it, an RSPQ slide reconnects it), is
   * dropped if it already left its tree, and is filed again under its current
   * `ts` otherwise (a RAPQ node refreshed since, or a node of the boundary
-  * bucket). Delete scans the trees it affects, also dropping nodes that expired lazily.
+  * bucket). Delete scans the trees it affects, depth first from each root,
+  * also dropping nodes that expired lazily.
   *
   * It also drives the traversal that Insert (§3.1) and Extend (§4.1) share:
   * an arriving edge `u -l-> v` seeds the frames of every tree at once from
   * the lists of its pairs `(u, s)`, and one traversal drains them; expiry
   * re-seeds a lost pair of one tree from valid in-edges ([[reopen]]). Each
-  * engine's `drain` applies its own rule to the frames, kept on one stack
-  * that every traversal reuses, and reads a frame's tree from its parent
-  * node. A frame reads and writes only that tree, so interleaving the trees'
-  * seeds in one traversal leaves each tree's work unchanged.
+  * engine's `drain` applies its own rule to the frames, kept on one
+  * [[FrameStack]] that every traversal reuses, and reads a frame's tree from
+  * its parent node. A frame reads and writes only that tree, so interleaving
+  * the trees' seeds in one traversal leaves each tree's work unchanged.
   * The graph interns the DFA's labels first, so an edge's label id indexes
   * the DFA's transition table ([[Dfa.step]]) directly.
   *
-  * Node keys are `v · k + s` for `k` DFA states; `processTuple` and
-  * `deleteEdge` reject vertex ids for which that overflows.
+  * Pair keys of `pairNodes` (and RSPQ's markings) are `v · k + s` for `k`
+  * DFA states; `processTuple` and `deleteEdge` reject vertex ids for which
+  * that overflows.
   */
 abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults: Boolean) {
   import DeltaForest._
@@ -166,14 +169,13 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     */
   protected final def addNode(tree: T, n: Node): Unit = {
     val kn = key(n.v, n.s)
-    val newest = tree.nodes.getOrNull(kn)
+    val newest = tree.nodes.put(n)
     val next = if (newest != null) newest else pairNodes.getOrNull(kn)
     val prev = if (next != null) next.prevAtPair else null
     n.nextAtPair = next
     n.prevAtPair = prev
     if (next != null) next.prevAtPair = n
     if (prev != null) prev.nextAtPair = n else pairNodes(kn) = n
-    tree.nodes(kn) = n
     tree.size += 1
     n.tree = tree
     if (n ne tree.rootNode) due.file(n)
@@ -184,9 +186,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val tree = n.tree
     val kn = key(n.v, n.s)
     val next = n.nextAtPair
-    if (tree.nodes.getOrNull(kn) eq n) {
-      if (next != null && (next.tree eq tree)) tree.nodes(kn) = next else tree.nodes.subtractOne(kn)
-    }
+    tree.nodes.remove(n, if (next != null && (next.tree eq tree)) next else null)
     tree.size -= 1
     if (tree.size == 1) maybeRootOnly += tree
     n.tree = null
@@ -203,7 +203,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   // ----------------------------------------------------- extension traversal
 
   /** Frames waiting in the current traversal. */
-  protected final val frames = mutable.Stack.empty[Frame]
+  protected final val frames = new FrameStack
 
   /** Add edge `u -l-> v` to the window graph and extend Δ: every tree holding
     * a valid `(u, s)` with `δ(s, l) = t` tries to add `(v, t)` under it. One
@@ -229,7 +229,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
       pairs.foreach { case (s, t) =>
         var n = pairNodes.getOrNull(key(u, s))
         while (n != null) {
-          if (n.ts > minTs) frames.push(Frame(n, v, t, ts))
+          if (n.ts > minTs) frames.push(n, v, t, ts)
           n = n.nextAtPair
         }
       }
@@ -245,9 +245,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   protected final def traverse(minTs: Long)(seed: => Unit): Unit = {
     frames.clear()
     seed
-    var i = 0
-    var j = frames.size - 1
-    while (i < j) { val f = frames(i); frames(i) = frames(j); frames(j) = f; i += 1; j -= 1 }
+    frames.reverse()
     drain(minTs)
   }
 
@@ -265,9 +263,9 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
         var q = 0
         while (q < k) {
           if (dfa.step(q, l) == t) {
-            var m = tree.nodes.getOrNull(key(src, q))
+            var m = tree.nodes.get(src, q)
             while (m != null && (m.tree eq tree)) {
-              if (m.ts > minTs) frames.push(Frame(m, v, t, ets))
+              if (m.ts > minTs) frames.push(m, v, t, ets)
               m = m.nextAtPair
             }
           }
@@ -290,12 +288,14 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
   /** Algorithm Delete (§3.2): negative tuple `(τ, (u,v), l, −)`. Tree edges
     * matching the deleted edge disconnect their subtree: a node `(v, t)`
-    * under `(u, s)` with `δ(s, l) = t` and a `ts` no later than the edge's (a
-    * later one came in by another label with the same transition). Each
-    * affected tree unlinks those subtrees and every node that left the window,
-    * and the engine reconnects what valid edges still reach, reading each
-    * unlinked node's `ts`. Returns the invalidated `(x, v)` pairs. Admitted
-    * like [[processTuple]]'s tuples: it may run the slide's expiry first.
+    * under `(u, s)` with `δ(s, l) = t` and a `ts` no later than the edge's,
+    * unless a stored edge `u -l'-> v` that survives the delete, with
+    * `δ(s, l') = t` and a `ts` no earlier than the node's, still supports it
+    * (the node may have come in by that parallel edge). Each affected tree
+    * unlinks those subtrees and every node that left the window, and the
+    * engine reconnects what valid edges still reach, reading each unlinked
+    * node's `ts`. Returns the invalidated `(x, v)` pairs. Admitted like
+    * [[processTuple]]'s tuples: it may run the slide's expiry first.
     */
   final def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
     admit(ts, u, v)
@@ -308,9 +308,10 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     // order of the pair lists; unlinking below changes those lists
     val hits = mutable.LinkedHashMap.empty[T, mutable.ArrayBuffer[Node]]
     pairs.foreach { case (s, t) =>
+      val kept = newestEdgeTs(u, v, s, t)
       var n = pairNodes.getOrNull(key(v, t))
       while (n != null) {
-        if (n.parent != null && n.parent.v == u && n.parent.s == s && n.ts <= edgeTs)
+        if (n.parent != null && n.parent.v == u && n.parent.s == s && n.ts <= edgeTs && n.ts > kept)
           hits.getOrElseUpdate(n.tree.asInstanceOf[T], mutable.ArrayBuffer.empty) += n
         n = n.nextAtPair
       }
@@ -328,7 +329,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
       // a result is invalidated when its final pair stayed disconnected
       reconnect(tree, (lost ++= stale).toArray, minTs).foreach { n =>
         if (dfa.isFinal(n.s) && (selfPairs || n.v != tree.rootVertex) &&
-            !tree.nodes.contains(key(n.v, n.s)))
+            tree.nodes.get(n.v, n.s) == null)
           invalidated += ((tree.rootVertex, n.v))
       }
       if (tree.size <= 1) dropTree(tree)
@@ -336,6 +337,20 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     expiryNanos += System.nanoTime() - t0
     expiryRuns += 1
     invalidated.toSet
+  }
+
+  /** The newest timestamp of a stored edge `u -l-> v` with `δ(s, l) = t`,
+    * or `Long.MinValue` if there is none.
+    */
+  private def newestEdgeTs(u: Long, v: Long, s: Int, t: Int): Long = {
+    val out = graph.outOf(u)
+    var newest = Long.MinValue
+    var i = 0
+    while (i < out.size) {
+      if (out.other(i) == v && dfa.step(s, out.label(i)) == t) newest = math.max(newest, out.ts(i))
+      i += 1
+    }
+    newest
   }
 
   /** Unlink `root` and every node below it, appending them to `out`. */
@@ -384,11 +399,6 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
 
 object DeltaForest {
 
-  /** An extension attempt: try to add `(v, t)` as a child of `parent` using an
-    * edge with timestamp `edgeTs`. The engine's rule is checked at pop time.
-    */
-  private[core] final case class Frame(parent: Node, v: Long, t: Int, edgeTs: Long)
-
   /** Spanning-tree node `(v, s)` with parent pointer, path timestamp and an
     * intrusive doubly linked child list (`firstChild`, then `nextSib`; needed
     * by Delete's subtree unlinking), so linking and unlinking a child are O(1).
@@ -431,22 +441,30 @@ object DeltaForest {
     }
   }
 
-  /** One spanning tree `T_x` (a RAPQ tree as is). `nodes` maps `key(v, s)` to
-    * its newest node of the pair; a RAPQ tree has at most one, and an RSPQ
-    * tree's others follow it in the pair's list. Newest first fixes the order
-    * of Extend's frames and expiry's reconnection, so a stream always yields
-    * the same markings; oldest first took a third more steps on SO-like data.
+  /** One spanning tree `T_x` (a RAPQ tree as is). `nodes` keys its newest
+    * node of each pair; a RAPQ tree has at most one, and an RSPQ tree's
+    * others follow it in the pair's list. Newest first fixes the order of
+    * Extend's frames and expiry's reconnection, so a stream always yields the
+    * same markings; oldest first took a third more steps on SO-like data.
     */
   private[core] class Tree(val rootVertex: Long, start: Int) {
     val rootNode = new Node(rootVertex, start, null, Long.MaxValue)
     private[core] var size = 0
-    private[core] val nodes = mutable.LongMap.empty[Node]
+    private[core] val nodes = new NodeTable
 
-    /** Apply `f` to every node, pair by pair in `nodes` order, newest first. */
-    final def foreachNode(f: Node => Unit): Unit =
-      nodes.foreachValue { newest =>
-        var n = newest
-        while (n != null && (n.tree eq this)) { f(n); n = n.nextAtPair }
+    /** Apply `f` to every node, depth first from the root through the child
+      * lists, newest child first. `f` must not change the tree.
+      */
+    final def foreachNode(f: Node => Unit): Unit = {
+      var n = if (rootNode.tree eq this) rootNode else null // dropped: holds nothing
+      while (n != null) {
+        f(n)
+        if (n.firstChild != null) n = n.firstChild
+        else {
+          while ((n ne rootNode) && n.nextSib == null) n = n.parent
+          n = if (n eq rootNode) null else n.nextSib
+        }
       }
+    }
   }
 }

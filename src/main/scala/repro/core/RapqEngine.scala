@@ -24,7 +24,7 @@ final class RapqEngine(
     window: WindowSpec,
     collectResults: Boolean = true,
 ) extends DeltaForest(dfa, window, collectResults) {
-  import DeltaForest.{Frame, Node, Tree}
+  import DeltaForest.{Node, Tree}
 
   protected type T = Tree
 
@@ -40,50 +40,51 @@ final class RapqEngine(
     * freshness improvement.
     */
   protected def drain(minTs: Long): Unit =
-    while (frames.nonEmpty) frames.pop() match {
-      case Frame(parent, v, t, edgeTs) =>
-        // A frame's parent is still in its tree: nodes leave a tree only in
-        // expiry, before that tree's frames are built.
-        val tree = parent.tree
-        if (parent.ts > minTs) {
-          val newTs = math.min(edgeTs, parent.ts)
-          if (newTs > minTs) {
-            val existing = tree.nodes.getOrNull(key(v, t))
-            val node =
-              if (existing == null) {
-                val n = new Node(v, t, parent, newTs)
-                parent.addChild(n)
-                addNode(tree, n)
-                if (dfa.isFinal(t)) emit(tree.rootVertex, v)
-                n
-              } else if (existing.ts < newTs) {
-                // Freshness improvement: re-parent onto the fresher path and
-                // propagate below (Insert lines 7–10 apply to this case too —
-                // eager propagation is what keeps invariant 1 of Lemma 1 true
-                // on *every* arrival, not just at expiry boundaries).
-                // Cycle-safe: timestamps are non-increasing along any tree
-                // path, so an ancestor can never satisfy `existing.ts < newTs`.
-                existing.reparent(parent)
-                existing.ts = newTs
-                existing
-              } else null
-            if (node != null) {
-              val out = graph.outOf(v)
-              var i = 0
-              while (i < out.size) {
-                val ets = out.ts(i)
-                val q = dfa.step(t, out.label(i))
-                if (ets > minTs && q >= 0) {
-                  val dst = out.other(i)
-                  val ex = tree.nodes.getOrNull(key(dst, q))
-                  if (ex == null || ex.ts < math.min(node.ts, ets))
-                    frames.push(Frame(node, dst, q, ets))
-                }
-                i += 1
+    while (frames.nonEmpty) {
+      val parent = frames.pop()
+      val v = frames.v
+      val t = frames.t
+      // A frame's parent is still in its tree: nodes leave a tree only in
+      // expiry, before that tree's frames are built.
+      val tree = parent.tree
+      if (parent.ts > minTs) {
+        val newTs = math.min(frames.edgeTs, parent.ts)
+        if (newTs > minTs) {
+          val existing = tree.nodes.get(v, t)
+          val node =
+            if (existing == null) {
+              val n = new Node(v, t, parent, newTs)
+              parent.addChild(n)
+              addNode(tree, n)
+              if (dfa.isFinal(t)) emit(tree.rootVertex, v)
+              n
+            } else if (existing.ts < newTs) {
+              // Freshness improvement: re-parent onto the fresher path and
+              // propagate below (Insert lines 7–10 apply to this case too —
+              // eager propagation is what keeps invariant 1 of Lemma 1 true
+              // on *every* arrival, not just at expiry boundaries).
+              // Cycle-safe: timestamps are non-increasing along any tree
+              // path, so an ancestor can never satisfy `existing.ts < newTs`.
+              existing.reparent(parent)
+              existing.ts = newTs
+              existing
+            } else null
+          if (node != null) {
+            val out = graph.outOf(v)
+            var i = 0
+            while (i < out.size) {
+              val ets = out.ts(i)
+              val q = dfa.step(t, out.label(i))
+              if (ets > minTs && q >= 0) {
+                val dst = out.other(i)
+                val ex = tree.nodes.get(dst, q)
+                if (ex == null || ex.ts < math.min(node.ts, ets)) frames.push(node, dst, q, ets)
               }
+              i += 1
             }
           }
         }
+      }
     }
 
   // ------------------------------------------------------------------ expiry
@@ -95,7 +96,7 @@ final class RapqEngine(
   protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {
     expired.foreach { n =>
       if (n.ts > minTs) {
-        val m = tree.nodes.getOrNull(key(n.v, n.s))
+        val m = tree.nodes.get(n.v, n.s)
         if (m == null || m.ts < n.ts) traverse(minTs)(reopen(tree, n.v, n.s, minTs))
       }
     }

@@ -42,7 +42,7 @@ final class RspqEngine(
     collectResults: Boolean = true,
     stepBudgetPerTuple: Long = Long.MaxValue,
 ) extends DeltaForest(dfa, window, collectResults) {
-  import DeltaForest.{Frame, Node}
+  import DeltaForest.Node
   import RspqEngine._
 
   protected type T = Tree
@@ -69,48 +69,50 @@ final class RspqEngine(
     * set. Throws [[RspqBudgetExceeded]] past the per-tuple budget.
     */
   protected def drain(minTs: Long): Unit =
-    while (frames.nonEmpty) frames.pop() match {
-      case Frame(parent, v, t, edgeTs) =>
-        steps += 1
-        if (steps > stepBudgetPerTuple) throw new RspqBudgetExceeded(stepBudgetPerTuple)
-        // A frame's parent is still in its tree: nodes leave a tree only in
-        // expiry, before that tree's frames are built.
-        val tree = parent.tree.asInstanceOf[Tree]
-        // Case 2 — a marked pair is pruned whatever the prefix path holds.
-        if (parent.ts > minTs && !tree.markings.contains(key(v, t))) {
-          // prefix-path states at vertex v; head == FIRST(p[v]) (closest to root)
-          var statesAtV = List.empty[Int]
-          var cur = parent
-          while (cur != null) { if (cur.v == v) statesAtV ::= cur.s; cur = cur.parent }
+    while (frames.nonEmpty) {
+      val parent = frames.pop()
+      val v = frames.v
+      val t = frames.t
+      steps += 1
+      if (steps > stepBudgetPerTuple) throw new RspqBudgetExceeded(stepBudgetPerTuple)
+      // A frame's parent is still in its tree: nodes leave a tree only in
+      // expiry, before that tree's frames are built.
+      val tree = parent.tree.asInstanceOf[Tree]
+      // Case 2 — a marked pair is pruned whatever the prefix path holds.
+      if (parent.ts > minTs && !tree.markings.contains(key(v, t))) {
+        // prefix-path states at vertex v; head == FIRST(p[v]) (closest to root)
+        var statesAtV = List.empty[Int]
+        var cur = parent
+        while (cur != null) { if (cur.v == v) statesAtV ::= cur.s; cur = cur.parent }
 
-          if (!statesAtV.contains(t)) {
-            if (statesAtV.nonEmpty && !containment.superset(statesAtV.head, t)) {
-              // Case 3 — conflict at v between FIRST(p[v]) and t: do not extend;
-              // unmark the prefix path so pruned alternatives are re-explored.
-              conflictCount += 1
-              unmark(tree, parent, minTs)
-            } else {
-              // Case 4 — extend the path with (v, t).
-              val ts = math.min(edgeTs, parent.ts)
-              if (ts > minTs) {
-                val wasAbsent = !tree.nodes.contains(key(v, t))
-                val node = new Node(v, t, parent, ts)
-                parent.addChild(node)
-                addNode(tree, node)
-                if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
-                if (wasAbsent) tree.markings(key(v, t)) = ()
-                val out = graph.outOf(v)
-                var i = 0
-                while (i < out.size) {
-                  val ets = out.ts(i)
-                  val r = dfa.step(t, out.label(i))
-                  if (ets > minTs && r >= 0) frames.push(Frame(node, out.other(i), r, ets))
-                  i += 1
-                }
+        if (!statesAtV.contains(t)) {
+          if (statesAtV.nonEmpty && !containment.superset(statesAtV.head, t)) {
+            // Case 3 — conflict at v between FIRST(p[v]) and t: do not extend;
+            // unmark the prefix path so pruned alternatives are re-explored.
+            conflictCount += 1
+            unmark(tree, parent, minTs)
+          } else {
+            // Case 4 — extend the path with (v, t).
+            val ts = math.min(frames.edgeTs, parent.ts)
+            if (ts > minTs) {
+              val wasAbsent = tree.nodes.get(v, t) == null
+              val node = new Node(v, t, parent, ts)
+              parent.addChild(node)
+              addNode(tree, node)
+              if (dfa.isFinal(t) && v != tree.rootVertex) emit(tree.rootVertex, v)
+              if (wasAbsent) tree.markings(key(v, t)) = ()
+              val out = graph.outOf(v)
+              var i = 0
+              while (i < out.size) {
+                val ets = out.ts(i)
+                val r = dfa.step(t, out.label(i))
+                if (ets > minTs && r >= 0) frames.push(node, out.other(i), r, ets)
+                i += 1
               }
             }
           }
         }
+      }
     }
 
   /** Algorithm Unmark: pop marked ancestors starting at the conflict

@@ -56,11 +56,15 @@ class ChildLinkSpec extends AnyFunSuite {
     val k = e.dfa.k.toLong
     val live = liveNodes(e)
     e.trees.valuesIterator.foreach { tree =>
-      tree.nodes.foreach { case (key, n) =>
-        assert((n.tree eq tree) && n.v * k + n.s == key, s"$at: tree ${tree.rootVertex} keys pair $key wrongly")
+      val held = live.filter(_.tree eq tree)
+      assert(tree.size == held.size, s"$at: tree ${tree.rootVertex} counts ${tree.size} nodes, walks ${held.size}")
+      held.map(n => (n.v, n.s)).distinct.foreach { case (v, s) =>
+        val n = tree.nodes.get(v, s)
+        assert(n != null && (n.tree eq tree) && n.v == v && n.s == s,
+          s"$at: tree ${tree.rootVertex} keys pair ($v, $s) wrongly")
       }
-      assert(tree.nodes.size == live.filter(_.tree eq tree).map(n => n.v * k + n.s).distinct.size,
-        s"$at: tree ${tree.rootVertex} does not key every pair it holds")
+      assert(tree.nodes.size == held.map(n => (n.v, n.s)).distinct.size,
+        s"$at: tree ${tree.rootVertex} does not key exactly the pairs it holds")
     }
     val listed = e.pairNodes.toVector.map { case (key, head) =>
       assert(head.prevAtPair == null, s"$at: the head of pair $key has a predecessor")
@@ -80,7 +84,7 @@ class ChildLinkSpec extends AnyFunSuite {
       }
       assert(runs.map(_.head.tree).distinct.size == runs.size, s"$at: a tree's nodes of pair $key are not adjacent")
       runs.foreach { run =>
-        assert(run.head.tree.nodes.getOrNull(key) eq run.head,
+        assert(run.head.tree.nodes.get(run.head.v, run.head.s) eq run.head,
           s"$at: pair $key's run in tree ${run.head.tree.rootVertex} does not start at the node it keys")
         if (e.isInstanceOf[RapqEngine])
           assert(run.size == 1, s"$at: a RAPQ tree holds ${run.size} nodes of pair $key")

@@ -5,7 +5,7 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.automaton.Dfa
-import repro.batch.BatchRpq
+import repro.batch.{BatchRpq, BruteForceSimple}
 import repro.stream.{Op, Sgt, WindowSpec}
 
 /** Explicit deletions via negative tuples (paper §3.2, Algorithm Delete). */
@@ -153,6 +153,25 @@ class RapqDeleteSpec extends AnyFunSuite {
         }
       }
       assert(touched > 0, s"[$kind, $p] no delete reached a lazily expired node")
+    }
+  }
+
+  test("deleting an edge keeps the nodes that a surviving parallel edge supports") {
+    // (a | b | c)+ takes every label from every state to the same state, so
+    // 1 -a-> 3 at 8 and 1 -b-> 3 at 21 are parallel tree edges to (3, s1).
+    // RSPQ's markings prune the later one, so T_1 and T_2 keep (3, s1) at 8,
+    // through 1 -a-> 3. Deleting 1 -b-> 3 must not take that node for a hit:
+    // RSPQ would rebuild only its marked pairs, not the unmarked ones below.
+    val w = WindowSpec(30, 1000)
+    for (rapq <- Seq(true, false)) {
+      val dfa = Dfa.fromPattern("(a | b | c)+")
+      val e: DeltaForest = if (rapq) new RapqEngine(dfa, w) else new RspqEngine(dfa, w)
+      Seq(Sgt(8, 1, 3, "a"), Sgt(11, 3, 0, "b"), Sgt(13, 4, 2, "a"), Sgt(16, 0, 4, "c"),
+          Sgt(19, 2, 1, "b"), Sgt(21, 1, 3, "b"), Sgt(22, 1, 3, "b", Op.Delete)).foreach(e.processTuple)
+      e.forceExpiry(22)
+      val edges = e.graph.edges.map(x => BatchRpq.E(x.src, x.dst, x.label)).toSeq
+      val expected = if (rapq) BatchRpq.evaluate(edges, dfa) else BruteForceSimple.evaluate(edges, dfa)
+      assert(e.currentResults(22) == expected, if (rapq) "RAPQ" else "RSPQ")
     }
   }
 

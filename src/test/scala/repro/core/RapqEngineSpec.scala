@@ -5,9 +5,9 @@ import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.automaton.Dfa
-import repro.batch.{BatchRpq, PersistentBatchBaseline}
+import repro.batch.{BatchRpq, BruteForceSimple, PersistentBatchBaseline}
 import repro.data.{Queries, StreamGen}
-import repro.stream.{Sgt, WindowSpec}
+import repro.stream.{Op, Sgt, WindowSpec}
 
 /** Randomized cross-checks of Algorithm RAPQ against the batch evaluator on
   * every window snapshot — the monotone result-stream semantics of
@@ -87,6 +87,37 @@ class RapqEngineSpec extends AnyFunSuite {
     assert(e.numTrees == 0)
     assert(e.numNodes == 0)
     assert(e.graph.numEdges == 50) // still tracked in the window content
+  }
+
+  test("labels no query can name pass through insert and Delete on both engines") {
+    // empty, spaced, regex-looking and non-ASCII labels, mixed with the
+    // query's; both queries have the containment property, so RSPQ is exact
+    val labels = Seq("a", "b", "c", "", "a b", "a|b", "x*", "\u00fc")
+    val w = WindowSpec(60, 10)
+    for (p <- Seq("a b c", "(a | b | c)*"); rapq <- Seq(true, false)) {
+      val dfa = Dfa.fromPattern(p)
+      val e = if (rapq) new RapqEngine(dfa, w) else new RspqEngine(dfa, w)
+      val rnd = new Random(71 + p.length)
+      val live = scala.collection.mutable.ArrayBuffer.empty[Sgt]
+      (1 to 240).foreach { i =>
+        val ts = i.toLong
+        if (live.nonEmpty && rnd.nextDouble() < 0.2) {
+          val d = live.remove(rnd.nextInt(live.length))
+          e.processTuple(Sgt(ts, d.src, d.dst, d.label, Op.Delete))
+        } else {
+          val t = Sgt(ts, rnd.nextInt(7).toLong, rnd.nextInt(7).toLong, labels(rnd.nextInt(labels.length)))
+          live += t
+          e.processTuple(t)
+        }
+        if (i % 40 == 0) {
+          e.forceExpiry(ts)
+          val edges = e.graph.edges.filter(_.ts > w.lowerBound(ts)).map(x => BatchRpq.E(x.src, x.dst, x.label)).toSeq
+          val expected = if (rapq) BatchRpq.evaluate(edges, dfa) else BruteForceSimple.evaluate(edges, dfa)
+          assert(e.currentResults(ts) == expected, s"[${if (rapq) "RAPQ" else "RSPQ"}, $p] at ts=$ts")
+        }
+      }
+      assert(e.graph.edges.exists(x => !dfa.labels.contains(x.label)), s"[$p] no foreign label is stored")
+    }
   }
 
   test("vertex ids whose node key would overflow are rejected by both engines") {

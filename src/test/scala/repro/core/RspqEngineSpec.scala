@@ -280,8 +280,8 @@ class RspqEngineSpec extends AnyFunSuite {
       "1557 1549 3530;5678 7044 11411;11458 17471 23615;21721 29188 24983;32979 40840 26283;" +
       "43859 52560 26104;54671 63117 25722;67294 74547 27010;76040 86780 25653;86452 95534 26267;" +
       "96658 106258 23967;105960 117756 23548",
-      "844 734 620;13402 13246 4386;25320 25344 3294;29933 28537 867;34412 32241 2422;" +
-      "43607 39824 1756;65622 61588 8665;78496 76134 2608;84997 82846 3850;102240 98752 3841",
+      "844 734 620;13405 13265 4379;25262 25335 3271;29862 28517 867;34394 32245 2422;" +
+      "43589 39822 1756;65321 61327 8410;78398 76052 2608;84896 82764 3850;102378 98777 3841",
     )
     cases.zip(expected).foreach { case ((name, actual), want) =>
       val wanted = want.split(';').toSeq
