@@ -11,9 +11,10 @@ import scala.collection.mutable
   *   engines simply stop traversal.
   * - states are `0 until k` with `start == 0`.
   * - the sorted alphabet gives label ids `0 until m`, which index a flat
-  *   transition table ([[step]]) for the engines' per-edge walks; the
-  *   `String`-keyed [[delta]] and [[byLabel]] serve the oracles, Spark and
-  *   the engines' once-per-tuple seeding.
+  *   transition table ([[step]]) for the engines' per-edge walks and a
+  *   table of each label's `(s, t)` pairs ([[pairs]]) for their per-tuple
+  *   seeding; the `String`-keyed [[delta]] and [[byLabel]] serve the oracles
+  *   and Spark.
   */
 final case class Dfa(
     start: Int,
@@ -34,6 +35,10 @@ final case class Dfa(
   private val next: Array[Int] =
     Array.tabulate(k * m)(i => trans(i / m).getOrElse(labels(i % m), -1))
   private val finalStates: Array[Boolean] = Array.tabulate(k)(finals.contains)
+  // pairTable(l) = s, t, s', t', …: the (s, t) with δ(s, labels(l)) = t, ascending s
+  private val pairTable: Array[Array[Int]] = Array.tabulate(m) { l =>
+    (0 until k).filter(s => next(s * m + l) >= 0).flatMap(s => Seq(s, next(s * m + l))).toArray
+  }
 
   def isFinal(s: Int): Boolean = finalStates(s)
 
@@ -41,6 +46,12 @@ final case class Dfa(
     * id `≥ m` lies outside the alphabet and has no transition.
     */
   def step(s: Int, l: Int): Int = if (l < m) next(s * m + l) else -1
+
+  /** The `(s, t)` pairs with δ(s, labels(l)) = t for a label id `l ≥ 0`, as
+    * one flat array `s, t, s', t', …` in ascending `s`, the order of
+    * [[byLabel]]; an id `≥ m` has none.
+    */
+  def pairs(l: Int): Array[Int] = if (l < m) pairTable(l) else Array.emptyIntArray
 
   /** Partial transition function δ(s, label). */
   def delta(s: Int, label: String): Option[Int] = trans(s).get(label)

@@ -71,6 +71,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   private[core] val pairNodes = mutable.LongMap.empty[Node]
   private val maybeRootOnly = mutable.ArrayBuffer.empty[Tree] // trees created or shrunk to root since last slide
   private val clock = new SlideClock(window.slide)
+  private var nodeCount = 0L
 
   private val k = dfa.k
   // Widest vertex-id range in which `key` cannot overflow, hence stays unique.
@@ -80,7 +81,8 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   protected final def key(v: Long, s: Int): Long = v * k + s
 
   def numTrees: Int = trees.size
-  def numNodes: Long = trees.valuesIterator.map(_.size.toLong).sum
+  /** Nodes in all trees, roots included. */
+  def numNodes: Long = nodeCount
 
   /** Process one streaming graph tuple (insert or explicit delete). */
   final def processTuple(t: Sgt): Unit = t.op match {
@@ -177,6 +179,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     if (next != null) next.prevAtPair = n
     if (prev != null) prev.nextAtPair = n else pairNodes(kn) = n
     tree.size += 1
+    nodeCount += 1
     n.tree = tree
     if (n ne tree.rootNode) due.file(n)
   }
@@ -188,6 +191,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     val next = n.nextAtPair
     tree.nodes.remove(n, if (next != null && (next.tree eq tree)) next else null)
     tree.size -= 1
+    nodeCount -= 1
     if (tree.size == 1) maybeRootOnly += tree
     n.tree = null
     if (n.parent != null) n.parent.removeChild(n)
@@ -212,13 +216,14 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     */
   private def insertEdge(ts: Long, u: Long, v: Long, label: String): Unit = {
     arrival()
-    graph.add(u, v, label, ts)
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
+    val l = graph.labelId(label)
+    graph.add(u, v, l, ts)
+    val pairs = dfa.pairs(l) // s, t, s', t', …
     if (pairs.isEmpty) return
     val minTs = window.lowerBound(ts)
 
     // New spanning tree rooted at (u, s0) if this edge leaves the start state.
-    if (pairs.exists(_._1 == dfa.start) && !trees.contains(u)) {
+    if (dfa.step(dfa.start, l) >= 0 && !trees.contains(u)) {
       val tree = newTree(u)
       addNode(tree, tree.rootNode)
       trees(u) = tree
@@ -226,12 +231,14 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     }
 
     traverse(minTs) {
-      pairs.foreach { case (s, t) =>
-        var n = pairNodes.getOrNull(key(u, s))
+      var i = 0
+      while (i < pairs.length) {
+        var n = pairNodes.getOrNull(key(u, pairs(i)))
         while (n != null) {
-          if (n.ts > minTs) frames.push(n, v, t, ts)
+          if (n.ts > minTs) frames.push(n, v, pairs(i + 1), ts)
           n = n.nextAtPair
         }
+        i += 2
       }
     }
   }
@@ -281,7 +288,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
   /** Drop `tree` from Δ once it holds only its root. */
   private def dropTree(tree: Tree): Unit = {
     unlink(tree.rootNode)
-    trees -= tree.rootVertex
+    trees.subtractOne(tree.rootVertex)
   }
 
   // ------------------------------------------------------------------ delete
@@ -299,15 +306,18 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     */
   final def deleteEdge(ts: Long, u: Long, v: Long, label: String): Set[(Long, Long)] = {
     admit(ts, u, v)
-    val edgeTs = graph.timestamp(u, v, label).getOrElse(Long.MinValue)
+    val edgeTs = graph.timestampOr(u, v, label, Long.MinValue)
     if (!graph.remove(u, v, label)) return Set.empty
-    val pairs = dfa.byLabel.getOrElse(label, Nil)
+    val pairs = dfa.pairs(graph.labelId(label)) // interned when the edge arrived
     if (pairs.isEmpty) return Set.empty
 
     // the deleted edge's tree edges (u, s) -> (v, t), grouped by tree in the
     // order of the pair lists; unlinking below changes those lists
     val hits = mutable.LinkedHashMap.empty[T, mutable.ArrayBuffer[Node]]
-    pairs.foreach { case (s, t) =>
+    var i = 0
+    while (i < pairs.length) {
+      val s = pairs(i)
+      val t = pairs(i + 1)
       val kept = newestEdgeTs(u, v, s, t)
       var n = pairNodes.getOrNull(key(v, t))
       while (n != null) {
@@ -315,6 +325,7 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
           hits.getOrElseUpdate(n.tree.asInstanceOf[T], mutable.ArrayBuffer.empty) += n
         n = n.nextAtPair
       }
+      i += 2
     }
     if (hits.isEmpty) return Set.empty
     val t0 = System.nanoTime()
@@ -353,13 +364,16 @@ abstract class DeltaForest(val dfa: Dfa, val window: WindowSpec, collectResults:
     newest
   }
 
+  // Delete's work stack of subtree nodes, reused by every `unlinkSubtree`
+  private val subtree = mutable.ArrayBuffer.empty[Node]
+
   /** Unlink `root` and every node below it, appending them to `out`. */
   private def unlinkSubtree(root: Node, out: mutable.ArrayBuffer[Node]): Unit = {
-    val stack = mutable.Stack(root)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
+    subtree += root
+    while (subtree.nonEmpty) {
+      val n = subtree.remove(subtree.length - 1)
       var c = n.firstChild
-      while (c != null) { stack.push(c); c = c.nextSib }
+      while (c != null) { subtree += c; c = c.nextSib }
       unlink(n)
       out += n
     }

@@ -57,7 +57,9 @@ private[core] final class DueIndex(slide: Long) {
     var head: Node = null
     var tail: Node = null
     while (numIds > 0 && ids(0) <= last) {
-      val b = buckets.remove(popMin()).get
+      val id = popMin()
+      val b = buckets(id)
+      buckets.subtractOne(id)
       if (head == null) head = b.head else tail.nextDue = b.head
       tail = b.tail
     }

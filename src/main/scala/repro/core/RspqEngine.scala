@@ -27,9 +27,11 @@ final class RspqBudgetExceeded(val budget: Long)
   *     marked on its first insertion and unmarked when one of its descendants
   *     becomes a conflict predecessor (Definition 18), which re-opens the
   *     previously pruned incoming extensions (Algorithm Unmark);
-  *   - an extension is refused when it would revisit a vertex whose
-  *     first-occurrence state does not suffix-contain the new state
-  *     (Definition 16) — the conflict case.
+  *   - a frame `(v, t)` is skipped when some occurrence of `v` on its prefix
+  *     path already holds `t`, and refused when `v`'s first-occurrence state
+  *     `FIRST(p[v])`, the one closest to the root, does not suffix-contain `t`
+  *     (Definition 16) — the conflict case. One walk from the parent to the
+  *     root decides both, keeping only `FIRST(p[v])` and whether `t` was seen.
   *
   * Deviations (documented in DESIGN.md §3): ExpiryRSPQ's re-marking
   * refinement (paper lines 12–15, re-adding parents to `M_x` once all their
@@ -66,7 +68,9 @@ final class RspqEngine(
 
   /** Run the Extend/Unmark state machine to quiescence. Every frame re-checks
     * the pruning cases at pop time, so ordering does not affect the result
-    * set. Throws [[RspqBudgetExceeded]] past the per-tuple budget.
+    * set. A frame that passes the marking check walks its prefix path once,
+    * with primitive locals only. Throws [[RspqBudgetExceeded]] past the
+    * per-tuple budget.
     */
   protected def drain(minTs: Long): Unit =
     while (frames.nonEmpty) {
@@ -80,13 +84,19 @@ final class RspqEngine(
       val tree = parent.tree.asInstanceOf[Tree]
       // Case 2 — a marked pair is pruned whatever the prefix path holds.
       if (parent.ts > minTs && !tree.markings.contains(key(v, t))) {
-        // prefix-path states at vertex v; head == FIRST(p[v]) (closest to root)
-        var statesAtV = List.empty[Int]
+        // One walk up the prefix path: `first` ends as FIRST(p[v]), the state
+        // of v's occurrence closest to the root (−1 if v is not on the path);
+        // the walk stops early at an occurrence of (v, t), which skips the frame.
+        var first = -1
+        var holdsT = false
         var cur = parent
-        while (cur != null) { if (cur.v == v) statesAtV ::= cur.s; cur = cur.parent }
+        while (cur != null && !holdsT) {
+          if (cur.v == v) { first = cur.s; holdsT = cur.s == t }
+          cur = cur.parent
+        }
 
-        if (!statesAtV.contains(t)) {
-          if (statesAtV.nonEmpty && !containment.superset(statesAtV.head, t)) {
+        if (!holdsT) {
+          if (first >= 0 && !containment.superset(first, t)) {
             // Case 3 — conflict at v between FIRST(p[v]) and t: do not extend;
             // unmark the prefix path so pruned alternatives are re-explored.
             conflictCount += 1
@@ -121,7 +131,8 @@ final class RspqEngine(
     */
   private def unmark(tree: Tree, from: Node, minTs: Long): Unit = {
     var cur = from
-    while (cur != null && tree.markings.remove(key(cur.v, cur.s)).isDefined) {
+    while (cur != null && tree.markings.contains(key(cur.v, cur.s))) {
+      tree.markings.subtractOne(key(cur.v, cur.s))
       reopen(tree, cur.v, cur.s, minTs)
       cur = cur.parent
     }
@@ -136,10 +147,24 @@ final class RspqEngine(
     */
   protected def reconnect(tree: Tree, expired: Array[Node], minTs: Long): Array[Node] = {
     // one node per marked pair: a pair's marking is removed only once
-    val marked = expired.filter(n => tree.markings.remove(key(n.v, n.s)).isDefined)
+    val marked = new Array[Node](expired.length)
+    var numMarked = 0
+    var i = 0
+    while (i < expired.length) {
+      val n = expired(i)
+      if (tree.markings.contains(key(n.v, n.s))) {
+        tree.markings.subtractOne(key(n.v, n.s))
+        marked(numMarked) = n
+        numMarked += 1
+      }
+      i += 1
+    }
     steps = 0 // expiry gets its own budget window
-    traverse(minTs)(marked.foreach(n => reopen(tree, n.v, n.s, minTs)))
-    marked
+    traverse(minTs) {
+      var j = 0
+      while (j < numMarked) { reopen(tree, marked(j).v, marked(j).s, minTs); j += 1 }
+    }
+    java.util.Arrays.copyOf(marked, numMarked)
   }
 
   // ------------------------------------------------------------------ views
@@ -157,10 +182,13 @@ final class RspqEngine(
 object RspqEngine {
 
   /** Traversal tree `T_x` with its markings `M_x`, as a key set: a
-    * primitive-keyed map to `()`. Its nodes are stored as a RAPQ tree's.
+    * primitive-keyed map to `()`, probed with `contains` and cleared with
+    * `subtractOne`, which take the `Long` key unboxed. Its nodes are stored
+    * as a RAPQ tree's.
     */
   private[core] final class Tree(x: Long, start: Int, rootKey: Long)
       extends DeltaForest.Tree(x, start) {
-    val markings = mutable.LongMap(rootKey -> (()))
+    val markings = new mutable.LongMap[Unit](2) // sized for the root's key alone
+    markings(rootKey) = ()
   }
 }

@@ -64,8 +64,10 @@ final class SnapshotGraph {
   private def orEmpty(a: Adjacency): Adjacency = if (a == null) Adjacency.Empty else a
 
   /** Insert edge or refresh its timestamp; returns true if the edge is new. */
-  def add(src: Long, dst: Long, label: String, ts: Long): Boolean = {
-    val l = labelId(label)
+  def add(src: Long, dst: Long, label: String, ts: Long): Boolean = add(src, dst, labelId(label), ts)
+
+  /** [[add]] for a label already interned as id `l`. */
+  def add(src: Long, dst: Long, l: Int, ts: Long): Boolean = {
     val om = out.getOrElseUpdate(src, new Adjacency)
     val i = om.indexOf(dst, l)
     if (i < 0) {
@@ -101,6 +103,13 @@ final class SnapshotGraph {
     if (i < 0) None else Some(om.ts(i))
   }
 
+  /** Timestamp of a logical edge, or `absent` if it is not stored. */
+  def timestampOr(src: Long, dst: Long, label: String, absent: Long): Long = {
+    val om = outOf(src)
+    val i = om.indexOf(dst, labelIds.getOrElse(label, -1))
+    if (i < 0) absent else om.ts(i)
+  }
+
   /** All currently stored edges (any timestamp). */
   def edges: Iterator[Edge] =
     out.iterator.flatMap { case (u, m) =>
@@ -132,10 +141,10 @@ final class SnapshotGraph {
     */
   private def unlink(src: Long, om: Adjacency, i: Int, dst: Long, l: Int): Unit = {
     om.removeAt(i)
-    if (om.size == 0) out -= src
+    if (om.size == 0) out.subtractOne(src)
     val im = in(dst)
     im.removeAt(im.indexOf(src, l))
-    if (im.size == 0) in -= dst
+    if (im.size == 0) in.subtractOne(dst)
     edgeCount -= 1
   }
 }

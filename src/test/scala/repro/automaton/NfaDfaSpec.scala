@@ -104,6 +104,16 @@ class NfaDfaSpec extends AnyFunSuite {
     }
     assert(dfa.byLabel.map { case (l, ps) => l -> ps.toSet } == fromRows)
   }
+  test("the label-id pair table agrees with byLabel, in byLabel's order") {
+    GMarkPatterns.all.foreach { p =>
+      val dfa = Dfa.fromPattern(p)
+      for (l <- 0 until dfa.m) {
+        val pairs = dfa.pairs(l).grouped(2).map { case Array(s, t) => (s, t) }.toList
+        assert(pairs == dfa.byLabel.getOrElse(dfa.labels(l), Nil), s"$p: label ${dfa.labels(l)}")
+      }
+      assert(dfa.pairs(dfa.m).isEmpty && dfa.pairs(dfa.m + 7).isEmpty, s"$p: an id past the alphabet has pairs")
+    }
+  }
   test("the flat transition table and final-state array agree with delta and finals") {
     GMarkPatterns.all.foreach { p =>
       val dfa = Dfa.fromPattern(p)

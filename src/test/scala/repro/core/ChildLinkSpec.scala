@@ -113,5 +113,10 @@ class ChildLinkSpec extends AnyFunSuite {
 
     test(s"[$name, $p] pair lists hold each pair's live nodes after every tuple")(
       checkAfterEveryTuple(checkPairLinks))
+
+    test(s"[$name, $p] the node count is the sum of the trees' sizes after every tuple")(
+      checkAfterEveryTuple { (e, at) =>
+        assert(e.numNodes == e.trees.valuesIterator.map(_.size.toLong).sum, s"$at: numNodes")
+      })
   }
 }

@@ -4,7 +4,7 @@ import scala.util.Random
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.automaton.Dfa
+import repro.automaton.{Containment, Dfa}
 import repro.batch.{BatchRpq, BruteForceSimple}
 import repro.data.{Queries, StreamGen}
 import repro.stream.{Op, Sgt, WindowSpec}
@@ -101,6 +101,46 @@ class RspqEngineSpec extends AnyFunSuite {
     val e = new RspqEngine(Dfa.fromPattern("a+"), WindowSpec(100, 1000))
     e.processTuple(Sgt(1, 0, 0, "a"))
     assert(e.results.isEmpty)
+  }
+
+  /** The state `word` takes the DFA to from its start. */
+  private def state(dfa: Dfa, word: String*): Int = word.foldLeft(dfa.start)((s, l) => dfa.delta(s, l).get)
+
+  // In both prefix-rule tests vertex 1 sits on the prefix path twice: (1, s1)
+  // under root 0 by the a-edge, then (1, s2) under (1, s1) by the b-loop,
+  // which Extend allows because [s1] ⊇ [s2].
+
+  test("Extend checks containment against FIRST(p[v]), the occurrence closest to the root") {
+    val dfa = Dfa.fromPattern("a (d | e | f | c (d | e | f) | b (d | c (d | e)))")
+    val c = Containment(dfa)
+    val (s1, s2, t) = (state(dfa, "a"), state(dfa, "a", "b"), state(dfa, "a", "b", "c"))
+    assert(Set(s1, s2, t).size == 3 && c.superset(s1, s2) && c.superset(s1, t) && !c.superset(s2, t))
+    val e = new RspqEngine(dfa, WindowSpec(100, 1000))
+    Seq(Sgt(1, 0, 1, "a"), Sgt(2, 1, 1, "b"), Sgt(3, 1, 1, "c")).foreach(e.processTuple)
+    // the c-loop's frame (1, t) under (1, s2) extends: FIRST(p[1]) = s1 and
+    // [s1] ⊇ [t], although the nearer occurrence's [s2] ⊉ [t]
+    assert(e.conflictCount == 0)
+    assert(e.treeNodeCounts(0) == Map((0L, dfa.start) -> 1, (1L, s1) -> 1, (1L, s2) -> 1, (1L, t) -> 1,
+                                      (1L, state(dfa, "a", "c")) -> 1))
+  }
+
+  test("Extend skips a frame whose state a later occurrence of its vertex holds") {
+    val dfa = Dfa.fromPattern("a g* (b g* (d | h e) | d | h e)")
+    val (s1, s2) = (state(dfa, "a"), state(dfa, "a", "b"))
+    assert(s1 != s2 && Containment(dfa).superset(s1, s2) && state(dfa, "a", "b", "g") == s2)
+    val e = new RspqEngine(dfa, WindowSpec(100, 1000), stepBudgetPerTuple = 10_000)
+    // the h-edge back to root 0 conflicts under (1, s2), and Unmark re-opens
+    // (1, s2)'s in-edges, among them the g-loop from (1, s2) itself: that
+    // frame is past the marking check, and (1, s2) on its path skips it,
+    // although FIRST(p[1]) = s1 would let it extend (and extend again below
+    // itself without end, which the step budget turns into an exception)
+    Seq(Sgt(1, 0, 1, "a"), Sgt(2, 1, 1, "b"), Sgt(3, 1, 1, "g"), Sgt(4, 1, 0, "h")).foreach(e.processTuple)
+    assert(e.conflictCount > 0)
+    e.trees(0).foreachNode { n =>
+      val ancestors = Iterator.iterate(n.parent)(_.parent).takeWhile(_ != null)
+      assert(!ancestors.exists(a => a.v == n.v && a.s == n.s), s"(${n.v}, ${n.s}) repeats on its path")
+    }
+    assert(e.treeNodeCounts(0) == Map((0L, dfa.start) -> 1, (1L, s1) -> 2, (1L, s2) -> 3))
   }
 
   test("two-cycle under a+ reports the cross pairs but no self pairs") {

@@ -3,7 +3,8 @@
 
 Usage:
 
-    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] [--callees TEXT] [--owner PREFIX] a.jfr [b.jfr ...]
+    python3 tools/jfr_top.py [--top 15] [--depth 64] [--callers TEXT] [--callees TEXT] [--owner PREFIX]
+                             [--lines N] a.jfr [b.jfr ...]
 
 Reads the `jdk.ExecutionSample` events of every file (through the JDK's `jfr`
 tool) and pools them. Prints each frame's share of all samples as self time
@@ -17,8 +18,16 @@ sample's top frame, as shares of those samples. With `--owner PREFIX`, it also
 credits each sample to its owner, the topmost frame whose fully qualified class
 name starts with PREFIX (`(none)` if no frame does), and prints the shares of
 (owner, top frame) pairs: a library frame such as `LongMap.seekEntry` then
-shows which of the program's methods it ran for. A frame's label is
-`Class.method`, with the class name stripped of its package.
+shows which of the program's methods it ran for. With `--lines N`, it also
+pools the samples by their top `N` frames, each labelled `Class.method:line`,
+and prints the shares of those stacks: which line of a method holds its time,
+and which line of its caller reached it. A frame's label is `Class.method`,
+with the class name stripped of its package.
+
+Recordings made without `-XX:+UnlockDiagnosticVMOptions -XX:+DebugNonSafepoints`
+attribute a sample to the nearest safepoint's frame, not to the frame that ran:
+a hot inlined callee, such as `BoxesRunTime.boxToInteger`, is then credited to
+a method nearby (see EXPERIMENTS.md).
 """
 
 import argparse
@@ -38,14 +47,14 @@ def label(frame):
 
 def stacks(path, depth):
     """Stacks of the file's execution samples, top frame first, as lists of
-    (fully qualified class name, label) pairs."""
+    (fully qualified class name, label, line number) triples."""
     out = subprocess.run(
         ["jfr", "print", "--json", "--events", "jdk.ExecutionSample", "--stack-depth", str(depth), path],
         check=True, capture_output=True, text=True).stdout
     for event in json.loads(out)["recording"]["events"]:
         trace = event["values"].get("stackTrace")
         if trace and trace["frames"]:
-            yield [(qualified(f), label(f)) for f in trace["frames"]]
+            yield [(qualified(f), label(f), f.get("lineNumber", -1)) for f in trace["frames"]]
 
 
 def table(title, counts, total, top):
@@ -63,17 +72,21 @@ def main():
     ap.add_argument("--callees", metavar="TEXT", help="also split the outermost frame containing TEXT by callee")
     ap.add_argument("--owner", metavar="PREFIX",
                     help="also credit each sample to its topmost frame whose class name starts with PREFIX")
+    ap.add_argument("--lines", type=int, metavar="N",
+                    help="also pool the samples by their top N frames, labelled Class.method:line")
     args = ap.parse_args()
 
-    self_counts, incl_counts, callers, callees, owners = (collections.Counter() for _ in range(5))
+    self_counts, incl_counts, callers, callees, owners, tops = (collections.Counter() for _ in range(6))
     total = matched = outer = 0
     for path in args.files:
         for frames in stacks(path, args.depth):
-            stack = [name for _, name in frames]
+            stack = [name for _, name, _ in frames]
             total += 1
             if args.owner:
-                owner = next((name for cls, name in frames if cls.startswith(args.owner)), "(none)")
+                owner = next((name for cls, name, _ in frames if cls.startswith(args.owner)), "(none)")
                 owners[f"{owner} <- {stack[0]}"] += 1
+            if args.lines:
+                tops[" <- ".join(f"{name}:{line}" for _, name, line in frames[:args.lines])] += 1
             self_counts[stack[0]] += 1
             incl_counts.update(set(stack))
             if args.callers:
@@ -101,6 +114,8 @@ def main():
             table("their direct callees, as shares of these samples", callees, outer, args.top)
     if args.owner:
         table(f"owner (topmost {args.owner}* frame) <- top frame", owners, total, args.top)
+    if args.lines:
+        table(f"top {args.lines} frame(s) with line numbers, top frame first", tops, total, args.top)
 
 
 if __name__ == "__main__":
